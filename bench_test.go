@@ -215,25 +215,15 @@ func randMat(rng *xrand.RNG, n int) *tensor.Matrix {
 	return m
 }
 
-// Ablation: fused matmul+bias+ReLU epilogue vs the three-pass sequence
-// (see DESIGN.md "Fusion").
-func BenchmarkAblationDenseLayerFused(b *testing.B) {
+// BenchmarkDenseLayerFused times one fused matmul+bias+ReLU dense-layer
+// forward pass (see DESIGN.md "Dense kernels").
+func BenchmarkDenseLayerFused(b *testing.B) {
 	rng := xrand.New(1)
 	x, w, y := randMat(rng, 256), randMat(rng, 256), tensor.New(256, 256)
 	bias := make([]float32, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.MatMulBiasReLU(y, x, w, bias, true)
-	}
-}
-
-func BenchmarkAblationDenseLayerUnfused(b *testing.B) {
-	rng := xrand.New(1)
-	x, w, y := randMat(rng, 256), randMat(rng, 256), tensor.New(256, 256)
-	bias := make([]float32, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchreport.UnfusedDenseLayer(y, x, w, bias)
 	}
 }
 

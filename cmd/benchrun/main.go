@@ -1,7 +1,7 @@
 // Command benchrun measures the training hot path and writes a
 // machine-readable BENCH_<timestamp>.json report, giving each PR a
 // recorded perf trajectory (examples/sec, ns/op, allocs/op, and the
-// tiled-vs-naive / fused-vs-unfused ablation speedups).
+// tiled-vs-naive and other ablation speedups).
 //
 //	benchrun                        # full run (~1s per benchmark), report in .
 //	benchrun -o reports -mintime 3s # steadier numbers, custom output dir

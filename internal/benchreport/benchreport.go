@@ -7,8 +7,8 @@
 // per-benchmark measurement time is controllable: the CI smoke mode runs
 // every benchmark in tens of milliseconds, while the default mode spends
 // about a second per entry for stable numbers. Paired naive/optimized
-// specs (tiled vs naive GEMM, fused vs unfused dense layer, recycled vs
-// fresh batches) are reduced to named speedups in the report.
+// specs (tiled vs naive GEMM, recycled vs fresh batches) are reduced to
+// named speedups in the report.
 package benchreport
 
 import (
@@ -72,7 +72,6 @@ type Options struct {
 // speedup = ns/op(denominator spec) / ns/op(numerator spec).
 var speedupPairs = []struct{ key, fast, slow string }{
 	{"gemm_tiled_vs_naive", "gemm/tiled_256", "gemm/naive_256"},
-	{"dense_layer_fused_vs_unfused", "dense_layer/fused", "dense_layer/unfused"},
 	{"next_batch_into_vs_fresh", "data/next_batch_into", "data/next_batch"},
 	// Incremental checkpoint vs full snapshot: the stall reduction the
 	// SparseGrad-driven delta path buys at a save point.

@@ -252,14 +252,17 @@ func (ds *Dataset) Close() error {
 	return first
 }
 
-// Examples returns the dataset's total example count.
-func (ds *Dataset) Examples() int {
+// Examples returns the manifest's total example count.
+func (m *Manifest) Examples() int {
 	n := 0
-	for _, sh := range ds.Manifest.Shards {
+	for _, sh := range m.Shards {
 		n += sh.Examples
 	}
 	return n
 }
+
+// Examples returns the dataset's total example count.
+func (ds *Dataset) Examples() int { return ds.Manifest.Examples() }
 
 // Bytes returns the dataset's total on-disk size.
 func (ds *Dataset) Bytes() int64 {
@@ -340,6 +343,16 @@ func decodeShard(raw []byte, man *Manifest, blk *block) error {
 	if dense != man.DenseFeatures || sparse != len(man.Sparse) {
 		return fmt.Errorf("ingest: shard schema %dd/%ds, manifest %dd/%ds",
 			dense, sparse, man.DenseFeatures, len(man.Sparse))
+	}
+	// Bound count before sizing any slab by it: a corrupt header must
+	// not turn into a multi-gigabyte allocation.
+	if total := man.Examples(); count > total {
+		return fmt.Errorf("ingest: shard header claims %d examples, manifest holds %d", count, total)
+	}
+	minRecord := 1 + 4*dense + 2*sparse
+	if fit := (len(raw) - shardHeader) / minRecord; count > fit {
+		return fmt.Errorf("ingest: shard header claims %d examples, %d bytes hold at most %d",
+			count, len(raw)-shardHeader, fit)
 	}
 
 	blk.n = count

@@ -1,8 +1,11 @@
 package ingest
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -204,4 +207,91 @@ func TestOpenDatasetErrors(t *testing.T) {
 	if err := decodeShard(raw, &ds.Manifest, &blk); err == nil {
 		t.Error("bad magic decoded without error")
 	}
+}
+
+// hugeCountShard is a 30-byte shard whose header claims 2^32-1 examples
+// of testCfg's schema; before the header count was bounded, decoding it
+// sized its slabs by that count and died with an out-of-memory fatal.
+func hugeCountShard() []byte {
+	raw := make([]byte, 30)
+	binary.LittleEndian.PutUint32(raw, shardMagic)
+	binary.LittleEndian.PutUint32(raw[4:], 4)
+	binary.LittleEndian.PutUint32(raw[8:], 2)
+	binary.LittleEndian.PutUint32(raw[12:], math.MaxUint32)
+	return raw
+}
+
+// fuzzManifest matches testCfg's schema and holds 64 examples.
+func fuzzManifest() *Manifest {
+	man := &Manifest{Version: 1, DenseFeatures: 4}
+	for _, s := range testCfg().Sparse {
+		man.Sparse = append(man.Sparse, ManifestFeature{Name: s.Name, HashSize: s.HashSize})
+	}
+	man.Shards = []ManifestShard{{File: "shard-00000.rsd", Examples: 64}}
+	return man
+}
+
+func TestDecodeShardBoundsCount(t *testing.T) {
+	man := fuzzManifest()
+	var blk block
+	err := decodeShard(hugeCountShard(), man, &blk)
+	if err == nil || !strings.Contains(err.Error(), "manifest holds 64") {
+		t.Errorf("count above the manifest: err = %v", err)
+	}
+	// Within the manifest's count, but 14 payload bytes cannot hold even
+	// one 25-byte record.
+	raw := hugeCountShard()
+	binary.LittleEndian.PutUint32(raw[12:], 8)
+	err = decodeShard(raw, man, &blk)
+	if err == nil || !strings.Contains(err.Error(), "14 bytes hold at most 0") {
+		t.Errorf("count above the payload: err = %v", err)
+	}
+}
+
+// FuzzDecodeShard feeds arbitrary shard images to the decoder: it must
+// return an error or a block consistent with its own header, never panic
+// or allocate beyond what the input can describe. The committed corpus
+// (testdata/fuzz/FuzzDecodeShard) holds hugeCountShard and the two
+// count-bound rejections.
+func FuzzDecodeShard(f *testing.F) {
+	cfg := testCfg()
+	dir := f.TempDir()
+	w, err := NewShardWriter(dir, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Append(handBatch(cfg, xrand.New(1), 8)); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(dir, "shard-00000.rsd"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+
+	man := fuzzManifest()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var blk block
+		if err := decodeShard(raw, man, &blk); err != nil {
+			return
+		}
+		if blk.n > man.Examples() || len(blk.labels) != blk.n || len(blk.dense) != blk.n*man.DenseFeatures {
+			t.Fatalf("decoded %d examples, %d labels, %d dense values", blk.n, len(blk.labels), len(blk.dense))
+		}
+		for fi := range man.Sparse {
+			off := blk.featOff[fi]
+			if int(off[blk.n]) != len(blk.featIdx[fi]) {
+				t.Fatalf("feature %d: end offset %d, %d indices", fi, off[blk.n], len(blk.featIdx[fi]))
+			}
+			for i := 0; i < blk.n; i++ {
+				if off[i] > off[i+1] {
+					t.Fatalf("feature %d: offsets decrease at example %d", fi, i)
+				}
+			}
+		}
+	})
 }

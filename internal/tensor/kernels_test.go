@@ -108,10 +108,10 @@ func checkAllKernels(t *testing.T, label string) {
 		// For aᵀ·b the shared dim is the row count: use a as k×m.
 		at := randShaped(rng, sh.k, sh.m)
 		dstA := New(sh.m, sh.n)
-		MatMulTransA(dstA, at, b)
+		MatMulTransAAcc(dstA, at, b)
 		want := naiveMatMulTransA(at, b)
 		if !dstA.Equal(want, eps) {
-			t.Errorf("%s: MatMulTransA differs from naive reference", name)
+			t.Errorf("%s: MatMulTransAAcc into zeros differs from naive reference", name)
 		}
 
 		// Accumulating variant: dst0 + aᵀ·b.

@@ -13,6 +13,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -155,130 +156,36 @@ func MatMulBiasReLU(dst, a, b *Matrix, bias []float32, relu bool) {
 	dispatch(kMatMulBiasReLU, dst, a, b, bias, relu, a.Rows, a.Rows*a.Cols*b.Cols)
 }
 
-// Register-blocked micro-kernels. Go's compiler does not auto-vectorize,
-// so the scalar loops are shaped for instruction-level parallelism
-// instead: axpy2 folds two rank-1 row updates into one pass over the
-// destination (halving its load/store traffic), and dot2 computes two
-// inner products sharing the left operand's loads across four independent
-// accumulator chains.
-
-// axpy2 computes y += a0*x0 + a1*x1 in one pass.
-func axpy2(a0 float32, x0 []float32, a1 float32, x1 []float32, y []float32) {
-	n := min(len(y), min(len(x0), len(x1)))
-	x0, x1, y = x0[:n], x1[:n], y[:n]
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		y[i] += a0*x0[i] + a1*x1[i]
-		y[i+1] += a0*x0[i+1] + a1*x1[i+1]
-	}
-	if i < n {
-		y[i] += a0*x0[i] + a1*x1[i]
-	}
+// rowPanel collects one destination row's work over a tileK panel: the
+// non-zero coefficients and the element offsets of the b rows they
+// scale. Zero coefficients (about half of post-ReLU activations) are
+// dropped here, so the row kernel runs over non-zero work only.
+type rowPanel struct {
+	coef [tileK]float32
+	off  [tileK]int
+	n    int
 }
 
-// axpy4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 in one pass: four
-// rank-1 updates per destination load/store.
-func axpy4(a0 float32, x0 []float32, a1 float32, x1 []float32,
-	a2 float32, x2 []float32, a3 float32, x3 []float32, y []float32) {
-	n := min(min(len(y), min(len(x0), len(x1))), min(len(x2), len(x3)))
-	x0, x1, x2, x3, y = x0[:n], x1[:n], x2[:n], x3[:n], y[:n]
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
-		y[i+1] += a0*x0[i+1] + a1*x1[i+1] + a2*x2[i+1] + a3*x3[i+1]
+// gather collects the non-zero coefficients a[first+p*stride] for
+// p < count (count ≤ tileK), each scaling the b row at element offset
+// boff+p*bstride.
+func (rp *rowPanel) gather(a []float32, first, stride, count, boff, bstride int) {
+	n := 0
+	for p := 0; p < count; p++ {
+		c := a[first+p*stride]
+		rp.coef[n] = c
+		rp.off[n] = boff + p*bstride
+		// Keep c unless it is ±0, without a branch: zeros fall at random,
+		// so a branch on c would mispredict about half the time.
+		u := math.Float32bits(c) << 1
+		n += int((u | -u) >> 31)
 	}
-	if i < n {
-		y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
-	}
+	rp.n = n
 }
 
-// dot4 returns (a·b0, a·b1, a·b2, a·b3) computed in one pass over a:
-// eight independent accumulator chains sharing each pair of a loads.
-func dot4(a, b0, b1, b2, b3 []float32) (r0, r1, r2, r3 float32) {
-	n := min(len(a), min(min(len(b0), len(b1)), min(len(b2), len(b3))))
-	a, b0, b1, b2, b3 = a[:n], b0[:n], b1[:n], b2[:n], b3[:n]
-	var s00, s01, s10, s11, s20, s21, s30, s31 float32
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		a0, a1 := a[i], a[i+1]
-		s00 += a0 * b0[i]
-		s01 += a1 * b0[i+1]
-		s10 += a0 * b1[i]
-		s11 += a1 * b1[i+1]
-		s20 += a0 * b2[i]
-		s21 += a1 * b2[i+1]
-		s30 += a0 * b3[i]
-		s31 += a1 * b3[i+1]
-	}
-	r0, r1, r2, r3 = s00+s01, s10+s11, s20+s21, s30+s31
-	if i < n {
-		r0 += a[i] * b0[i]
-		r1 += a[i] * b1[i]
-		r2 += a[i] * b2[i]
-		r3 += a[i] * b3[i]
-	}
-	return
-}
-
-// dot2 returns (a·b0, a·b1) computed in one pass over a.
-func dot2(a, b0, b1 []float32) (float32, float32) {
-	n := min(len(a), min(len(b0), len(b1)))
-	a, b0, b1 = a[:n], b0[:n], b1[:n]
-	var s00, s01, s10, s11 float32
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		a0, a1 := a[i], a[i+1]
-		s00 += a0 * b0[i]
-		s01 += a1 * b0[i+1]
-		s10 += a0 * b1[i]
-		s11 += a1 * b1[i+1]
-	}
-	r0, r1 := s00+s01, s10+s11
-	if i < n {
-		r0 += a[i] * b0[i]
-		r1 += a[i] * b1[i]
-	}
-	return r0, r1
-}
-
-// axpyPair accumulates drow += a0·x0 + a1·x1, skipping zero coefficients
-// (common after ReLU).
-func axpyPair(a0 float32, x0 []float32, a1 float32, x1 []float32, drow []float32) {
-	switch {
-	case a0 == 0 && a1 == 0:
-	case a1 == 0:
-		Axpy(a0, x0, drow)
-	case a0 == 0:
-		Axpy(a1, x1, drow)
-	default:
-		axpy2(a0, x0, a1, x1, drow)
-	}
-}
-
-// axpyPanel accumulates drow += Σ_p arow[p]·b[row kk+p]. Dense
-// coefficient quads go through axpy4 (one destination pass per four
-// rank-1 updates); quads containing zeros — the post-ReLU case — fall
-// back to pair updates that skip the zero work entirely.
-func axpyPanel(arow []float32, b *Matrix, kk int, drow []float32) {
-	n := b.Cols
-	p := 0
-	for ; p+4 <= len(arow); p += 4 {
-		a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-		bi := (kk + p) * n
-		if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-			axpy4(a0, b.Data[bi:bi+n], a1, b.Data[bi+n:bi+2*n],
-				a2, b.Data[bi+2*n:bi+3*n], a3, b.Data[bi+3*n:bi+4*n], drow)
-			continue
-		}
-		axpyPair(a0, b.Data[bi:bi+n], a1, b.Data[bi+n:bi+2*n], drow)
-		axpyPair(a2, b.Data[bi+2*n:bi+3*n], a3, b.Data[bi+3*n:bi+4*n], drow)
-	}
-	for ; p < len(arow); p++ {
-		if av := arow[p]; av != 0 {
-			bi := (kk + p) * n
-			Axpy(av, b.Data[bi:bi+n], drow)
-		}
-	}
+// flush accumulates drow += Σ coef[t]·b[off[t]:off[t]+len(drow)].
+func (rp *rowPanel) flush(drow, b []float32) {
+	axpyRows(drow, rp.coef[:rp.n], rp.off[:rp.n], b)
 }
 
 // matMulRange computes rows [r0, r1) of dst = a·b with the i-k-j loop
@@ -288,6 +195,7 @@ func matMulRange(dst, a, b *Matrix, r0, r1 int) {
 }
 
 func matMulBiasReLURange(dst, a, b *Matrix, bias []float32, relu bool, r0, r1 int) {
+	var rp rowPanel
 	n := b.Cols
 	k := a.Cols
 	for ii := r0; ii < r1; ii += tileRows {
@@ -301,9 +209,8 @@ func matMulBiasReLURange(dst, a, b *Matrix, bias []float32, relu bool, r0, r1 in
 		for kk := 0; kk < k; kk += tileK {
 			kEnd := min(kk+tileK, k)
 			for i := ii; i < iEnd; i++ {
-				drow := dst.Data[i*n : (i+1)*n]
-				arow := a.Data[i*k+kk : i*k+kEnd]
-				axpyPanel(arow, b, kk, drow)
+				rp.gather(a.Data, i*k+kk, 1, kEnd-kk, kk*n, n)
+				rp.flush(dst.Data[i*n:(i+1)*n], b.Data)
 			}
 		}
 		if bias == nil {
@@ -364,17 +271,6 @@ func matMulTransBRange(dst, a, b *Matrix, r0, r1 int) {
 	}
 }
 
-// MatMulTransA computes dst = aᵀ·b where a is k×m and b is k×n. dst must
-// be m×n. This is the shape backprop needs for weight gradients
-// (dW = Xᵀ·dY).
-func MatMulTransA(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransA dims (%dx%d)ᵀ·(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dispatch(kMatMulTransA, dst, a, b, nil, false, a.Cols, a.Rows*a.Cols*b.Cols)
-}
-
 // MatMulTransAAcc computes dst += aᵀ·b — the accumulate-fused weight
 // gradient kernel. Backprop adds dW = Xᵀ·dY into the running gradient
 // directly, eliminating the scratch matrix and the extra add pass.
@@ -386,46 +282,18 @@ func MatMulTransAAcc(dst, a, b *Matrix) {
 	dispatch(kMatMulTransAAcc, dst, a, b, nil, false, a.Cols, a.Rows*a.Cols*b.Cols)
 }
 
-func matMulTransARange(dst, a, b *Matrix, r0, r1 int) {
-	n := b.Cols
-	for i := r0; i < r1; i++ {
-		drow := dst.Data[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
-	matMulTransAAccRange(dst, a, b, r0, r1)
-}
-
 // matMulTransAAccRange accumulates rows [r0, r1) of dst += aᵀ·b (rows of
 // dst index columns of a), blocking the shared row dimension of a/b in
 // tileK panels so the streamed b panel is reused across the output range.
 func matMulTransAAccRange(dst, a, b *Matrix, r0, r1 int) {
+	var rp rowPanel
 	m := a.Cols
 	n := b.Cols
 	for pp := 0; pp < a.Rows; pp += tileK {
 		pEnd := min(pp+tileK, a.Rows)
 		for i := r0; i < r1; i++ {
-			drow := dst.Data[i*n : (i+1)*n]
-			p := pp
-			for ; p+4 <= pEnd; p += 4 {
-				av0 := a.Data[p*m+i]
-				av1 := a.Data[(p+1)*m+i]
-				av2 := a.Data[(p+2)*m+i]
-				av3 := a.Data[(p+3)*m+i]
-				if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-					axpy4(av0, b.Data[p*n:(p+1)*n], av1, b.Data[(p+1)*n:(p+2)*n],
-						av2, b.Data[(p+2)*n:(p+3)*n], av3, b.Data[(p+3)*n:(p+4)*n], drow)
-					continue
-				}
-				axpyPair(av0, b.Data[p*n:(p+1)*n], av1, b.Data[(p+1)*n:(p+2)*n], drow)
-				axpyPair(av2, b.Data[(p+2)*n:(p+3)*n], av3, b.Data[(p+3)*n:(p+4)*n], drow)
-			}
-			for ; p < pEnd; p++ {
-				if av := a.Data[p*m+i]; av != 0 {
-					Axpy(av, b.Data[p*n:(p+1)*n], drow)
-				}
-			}
+			rp.gather(a.Data, pp*m+i, m, pEnd-pp, pp*n, n)
+			rp.flush(dst.Data[i*n:(i+1)*n], b.Data)
 		}
 	}
 }

@@ -77,7 +77,8 @@ func TestMatMulTransB(t *testing.T) {
 	}
 }
 
-func TestMatMulTransA(t *testing.T) {
+// TestMatMulTransAAcc checks aᵀ·b accumulated into a zeroed destination.
+func TestMatMulTransAAcc(t *testing.T) {
 	rng := xrand.New(4)
 	aT := randomMatrix(rng, 11, 6) // a = aTᵀ is 6x11
 	b := randomMatrix(rng, 11, 8)
@@ -89,9 +90,9 @@ func TestMatMulTransA(t *testing.T) {
 	}
 	want := naiveMatMul(a, b)
 	got := New(6, 8)
-	MatMulTransA(got, aT, b)
+	MatMulTransAAcc(got, aT, b)
 	if !got.Equal(want, 1e-4) {
-		t.Error("MatMulTransA mismatch")
+		t.Error("MatMulTransAAcc mismatch")
 	}
 }
 

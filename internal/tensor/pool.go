@@ -25,7 +25,6 @@ const (
 	kMatMul kernelKind = iota
 	kMatMulBiasReLU
 	kMatMulTransB
-	kMatMulTransA
 	kMatMulTransAAcc
 	kEncodeHalf
 	kDecodeHalf
@@ -64,8 +63,6 @@ func (j *job) runRange(r0, r1 int) {
 		matMulBiasReLURange(j.dst, j.a, j.b, j.bias, j.relu, r0, r1)
 	case kMatMulTransB:
 		matMulTransBRange(j.dst, j.a, j.b, r0, r1)
-	case kMatMulTransA:
-		matMulTransARange(j.dst, j.a, j.b, r0, r1)
 	case kMatMulTransAAcc:
 		matMulTransAAccRange(j.dst, j.a, j.b, r0, r1)
 	case kEncodeHalf:

@@ -6,54 +6,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// Dot returns the inner product of a and b. Lengths must match; the
-// shorter-slice bound is taken to keep the hot loop branch-free, so
-// callers are expected to pass equal lengths.
-//
-// The loop runs four independent accumulator chains: a single-accumulator
-// float32 dot is serialized on the ~4-cycle add latency, which caps it at
-// a quarter of the core's multiply-add throughput.
-func Dot(a, b []float32) float32 {
-	if len(a) > len(b) {
-		a = a[:len(b)]
-	}
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; i < len(a); i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Axpy computes y += alpha*x element-wise, unrolled 4× to amortize loop
-// and bounds-check overhead (iterations are independent, so no extra
-// accumulators are needed).
-func Axpy(alpha float32, x, y []float32) {
-	if len(x) > len(y) {
-		x = x[:len(y)]
-	}
-	y = y[:len(x)]
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
-	}
-}
-
-// AddTo computes dst += src element-wise, unrolled like Axpy.
+// AddTo computes dst += src element-wise, unrolled 4× to amortize loop
+// and bounds-check overhead.
 func AddTo(dst, src []float32) {
 	if len(src) > len(dst) {
 		src = src[:len(dst)]
