@@ -9,18 +9,14 @@ import (
 
 	"repro/internal/benchreport"
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/experiments"
 	"repro/internal/hw"
-	"repro/internal/hybrid"
-	"repro/internal/ingest"
 	"repro/internal/perfmodel"
 	"repro/internal/placement"
-	"repro/internal/telemetry"
-	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // benchExperiment runs one paper artifact per iteration (quick mode for
@@ -57,113 +53,20 @@ func BenchmarkAutotune(b *testing.B) { benchExperiment(b, "vic") }
 
 // ---- substrate micro-benchmarks and DESIGN.md ablations ----
 
-// BenchmarkTrainStep measures one real training step of a mid-size model
-// (the same config cmd/benchrun's train_step entry measures, so the
-// committed BENCH reports stay comparable).
-func BenchmarkTrainStep(b *testing.B) {
-	cfg := benchreport.BenchStepConfig()
-	m := NewModel(cfg, 1)
-	tr := NewTrainer(m, TrainerConfig{LR: 0.05})
-	gen := NewGenerator(cfg, 2)
-	batch := gen.NextBatch(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Step(batch)
+// BenchmarkSpecs runs every cmd/benchrun spec (benchreport.DefaultSpecs)
+// as a sub-benchmark, so `go test -bench` and the committed BENCH reports
+// measure the same fixtures: the train/hybrid/ingest steps, their traced
+// companions, the GEMM and dense-layer kernels, and the checkpoint
+// snapshots.
+func BenchmarkSpecs(b *testing.B) {
+	for _, s := range benchreport.DefaultSpecs("") {
+		b.Run(s.Name, func(b *testing.B) {
+			s.Fn(b.N)
+			if s.ExamplesPerOp > 0 {
+				b.ReportMetric(float64(s.ExamplesPerOp*b.N)/b.Elapsed().Seconds(), "examples/sec")
+			}
+		})
 	}
-	b.ReportMetric(float64(128*b.N)/b.Elapsed().Seconds(), "examples/sec")
-}
-
-// BenchmarkTrainStepTraced is BenchmarkTrainStep with span tracing on:
-// the delta against the untraced number is the telemetry overhead, whose
-// acceptance bound is < 3% (cmd/benchrun records the same pair as the
-// telemetry_overhead_single speedup).
-func BenchmarkTrainStepTraced(b *testing.B) {
-	cfg := benchreport.BenchStepConfig()
-	m := NewModel(cfg, 1)
-	tr := NewTrainer(m, TrainerConfig{LR: 0.05})
-	tr.SetTrace(telemetry.NewTracer(1, 4096), 0)
-	gen := NewGenerator(cfg, 2)
-	batch := gen.NextBatch(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Step(batch)
-	}
-	b.ReportMetric(float64(128*b.N)/b.Elapsed().Seconds(), "examples/sec")
-}
-
-// BenchmarkHybridStep measures one synchronous hybrid-parallel step on 2
-// in-process ranks over the same model/batch as BenchmarkTrainStep, so
-// the parallelization overhead (collectives + pack/unpack) is directly
-// readable against the single-process step. cmd/benchrun's hybrid_step
-// entry records the same setup.
-func BenchmarkHybridStep(b *testing.B) {
-	cfg := benchreport.BenchStepConfig()
-	ht, err := hybrid.New(cfg, hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ht.Close()
-	gen := NewGenerator(cfg, 2)
-	batch := gen.NextBatch(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ht.Step(batch)
-	}
-	b.ReportMetric(float64(128*b.N)/b.Elapsed().Seconds(), "examples/sec")
-}
-
-// BenchmarkHybridStepTraced is BenchmarkHybridStep with span tracing on
-// across both rank shards (telemetry_overhead_hybrid in cmd/benchrun).
-func BenchmarkHybridStepTraced(b *testing.B) {
-	cfg := benchreport.BenchStepConfig()
-	hc := hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1}
-	hc.Trace = telemetry.NewTracer(hc.ShardCount(), 4096)
-	ht, err := hybrid.New(cfg, hc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ht.Close()
-	gen := NewGenerator(cfg, 2)
-	batch := gen.NextBatch(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ht.Step(batch)
-	}
-	b.ReportMetric(float64(128*b.N)/b.Elapsed().Seconds(), "examples/sec")
-}
-
-// BenchmarkIngestStep measures the ingestion-fed training step: the
-// staged on-disk reader pipeline (2 decoders, RecD dedup) feeding
-// core.Trainer over the same model as BenchmarkTrainStep, so the cost of
-// training from disk instead of a resident batch is directly readable.
-// cmd/benchrun's ingest_step entry records the same setup.
-func BenchmarkIngestStep(b *testing.B) {
-	cfg := benchreport.BenchStepConfig()
-	dir := b.TempDir()
-	gen := NewGenerator(cfg, 9)
-	if err := gen.WriteShards(dir, 4, 4*128); err != nil {
-		b.Fatal(err)
-	}
-	ds, err := ingest.OpenDataset(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ds.Close()
-	pipe, err := ingest.Open(ds, cfg, ingest.Options{
-		BatchSize: 128, Readers: 2, Dedup: true, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pipe.Close()
-	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
-	b.ResetTimer()
-	if _, _, err := tr.TrainFrom(pipe, b.N); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(128*b.N)/b.Elapsed().Seconds(), "examples/sec")
-	b.ReportMetric(pipe.Meters().DedupRatio(), "dedup-ratio")
 }
 
 // BenchmarkPerfModelEstimate measures the analytic model's cost.
@@ -179,51 +82,6 @@ func BenchmarkPerfModelEstimate(b *testing.B) {
 		if _, err := perfmodel.Estimate(s); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Ablation: blocked/parallel GEMM vs the naive kernel.
-func BenchmarkAblationGEMMBlocked(b *testing.B) {
-	rng := xrand.New(1)
-	x, y, dst := randMat(rng, 256), randMat(rng, 256), tensor.New(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMul(dst, x, y)
-	}
-}
-
-func BenchmarkAblationGEMMNaive(b *testing.B) {
-	rng := xrand.New(1)
-	x, y, dst := randMat(rng, 256), randMat(rng, 256), tensor.New(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < 256; r++ {
-			for c := 0; c < 256; c++ {
-				var s float32
-				for k := 0; k < 256; k++ {
-					s += x.At(r, k) * y.At(k, c)
-				}
-				dst.Set(r, c, s)
-			}
-		}
-	}
-}
-
-func randMat(rng *xrand.RNG, n int) *tensor.Matrix {
-	m := tensor.New(n, n)
-	tensor.NormalInit(m, 1, rng)
-	return m
-}
-
-// BenchmarkDenseLayerFused times one fused matmul+bias+ReLU dense-layer
-// forward pass (see DESIGN.md "Dense kernels").
-func BenchmarkDenseLayerFused(b *testing.B) {
-	rng := xrand.New(1)
-	x, w, y := randMat(rng, 256), randMat(rng, 256), tensor.New(256, 256)
-	bias := make([]float32, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulBiasReLU(y, x, w, bias, true)
 	}
 }
 
@@ -258,7 +116,7 @@ func BenchmarkAblationLRUCacheHitRate(b *testing.B) {
 		TopMLP:        []int{16},
 		Interaction:   core.Concat,
 	}
-	gen := NewGenerator(cfg, 3)
+	gen := data.NewGenerator(cfg, 3, data.DefaultOptions())
 	var batches []*core.MiniBatch
 	for i := 0; i < 8; i++ {
 		batches = append(batches, gen.NextBatch(128))

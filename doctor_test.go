@@ -5,9 +5,11 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/hybrid"
 	"repro/internal/ingest"
 	"repro/internal/telemetry"
+	"repro/internal/xrand"
 )
 
 // TestDoctorClassifiesRegimes drives the performance doctor through
@@ -43,7 +45,7 @@ func TestDoctorClassifiesRegimes(t *testing.T) {
 			Interaction:   core.DotProduct,
 		}
 		dir := t.TempDir()
-		if err := NewGenerator(cfg, 3).WriteShards(dir, 2, 256); err != nil {
+		if err := data.NewGenerator(cfg, 3, data.DefaultOptions()).WriteShards(dir, 2, 256); err != nil {
 			t.Fatal(err)
 		}
 		ds, err := ingest.OpenDataset(dir)
@@ -63,7 +65,7 @@ func TestDoctorClassifiesRegimes(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer pipe.Close()
-		trn := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
+		trn := core.NewTrainer(core.NewModel(cfg, xrand.New(1)), core.TrainerConfig{LR: 0.05})
 		trn.SetTrace(tr, 0)
 		for i := 0; i < 8; i++ {
 			mb, err := pipe.NextBatch()
@@ -107,7 +109,7 @@ func diagnoseHybrid(t *testing.T, cfg core.Config, link collective.Link) telemet
 		t.Fatal(err)
 	}
 	defer ht.Close()
-	batch := NewGenerator(cfg, 2).NextBatch(64)
+	batch := data.NewGenerator(cfg, 2, data.DefaultOptions()).NextBatch(64)
 	for i := 0; i < 10; i++ {
 		if _, _, err := ht.Step(batch); err != nil {
 			t.Fatal(err)

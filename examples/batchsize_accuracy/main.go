@@ -6,34 +6,36 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/xrand"
 )
 
 func main() {
-	cfg := recsim.ModelConfig{
+	cfg := core.Config{
 		Name:          "batchsweep",
 		DenseFeatures: 16,
-		Sparse: []recsim.SparseFeature{
+		Sparse: []core.SparseFeature{
 			{Name: "a", HashSize: 2000, MeanPooled: 4, MaxPooled: 16},
 			{Name: "b", HashSize: 2000, MeanPooled: 4, MaxPooled: 16},
 		},
 		EmbeddingDim: 16,
 		BottomMLP:    []int{32},
 		TopMLP:       []int{32},
-		Interaction:  recsim.InteractionDot,
+		Interaction:  core.DotProduct,
 	}
-	base := recsim.NewGenerator(cfg, 7)
+	base := data.NewGenerator(cfg, 7, data.DefaultOptions())
 	const budget = 60000
 	const refBatch, refLR = 200, 0.05
 
-	train := func(batch int, lr float64) recsim.EvalResult {
-		m := recsim.NewModel(cfg, 11)
-		tr := recsim.NewTrainer(m, recsim.TrainerConfig{Optimizer: "sgd", LR: lr, WarmupIters: 20})
+	train := func(batch int, lr float64) core.EvalResult {
+		m := core.NewModel(cfg, xrand.New(11))
+		tr := core.NewTrainer(m, core.TrainerConfig{Optimizer: "sgd", LR: lr, WarmupIters: 20})
 		gen := base.Fork(int64(batch))
 		for i := 0; i < budget/batch; i++ {
 			tr.Step(gen.NextBatch(batch))
 		}
-		return recsim.Evaluate(m, base.Fork(999).EvalSet(8, 256))
+		return core.Evaluate(m, base.Fork(999).EvalSet(8, 256))
 	}
 
 	ref := train(refBatch, refLR)

@@ -11,38 +11,42 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
+	"repro/internal/ckpt"
+	"repro/internal/collective"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/hybrid"
 )
 
 func main() {
-	cfg := recsim.ModelConfig{
+	cfg := core.Config{
 		Name:          "elastic-demo",
 		DenseFeatures: 16,
-		Sparse:        recsim.UniformSparse(8, 2000, 4),
+		Sparse:        core.UniformSparse(8, 2000, 4),
 		EmbeddingDim:  8,
 		BottomMLP:     []int{32},
 		TopMLP:        []int{32, 16},
-		Interaction:   recsim.InteractionDot,
+		Interaction:   core.DotProduct,
 	}
-	fmt.Println(recsim.Describe(cfg))
+	fmt.Println(core.Describe(cfg))
 
 	const steps, batch, ranks = 40, 64, 4
 
 	// The replayable stream: recovery calls this with the rolled-back
 	// step count and expects the exact same batches a fresh run would
 	// see — seek, not re-sample.
-	source := func(skip int) (recsim.BatchSource, func(), error) {
-		gen := recsim.NewGenerator(cfg, 7)
+	source := func(skip int) (core.BatchSource, func(), error) {
+		gen := data.NewGenerator(cfg, 7, data.DefaultOptions())
 		for i := 0; i < skip; i++ {
 			gen.NextBatch(batch)
 		}
 		return gen.NewSource(batch), func() {}, nil
 	}
 
-	run := func(store *recsim.CheckpointStore, faults *recsim.FaultSchedule) *recsim.ElasticResult {
-		res, err := recsim.RunElastic(recsim.ElasticConfig{
+	run := func(store *ckpt.Store, faults *collective.FaultSchedule) *hybrid.ElasticResult {
+		res, err := hybrid.RunElastic(hybrid.ElasticConfig{
 			Cfg:       cfg,
-			HC:        recsim.HybridConfig{Ranks: ranks, LR: 0.05, Seed: 1},
+			HC:        hybrid.Config{Ranks: ranks, LR: 0.05, Seed: 1},
 			Store:     store,
 			CkptEvery: 8,
 			FullEvery: 2, // every 2nd save is a full compaction
@@ -63,7 +67,7 @@ func main() {
 	cleanDir, faultDir := tempStore("clean"), tempStore("faulted")
 	defer os.RemoveAll(cleanDir)
 	defer os.RemoveAll(faultDir)
-	cleanStore, err := recsim.OpenCheckpointStore(cleanDir)
+	cleanStore, err := ckpt.OpenStore(cleanDir)
 	if err != nil {
 		panic(err)
 	}
@@ -73,11 +77,11 @@ func main() {
 	// 2. The same workload with rank 3 killed at step 21: the abort
 	// poisons the world, recovery restores the step-16 checkpoint,
 	// rebuilds all ranks, and replays from there.
-	faults, err := recsim.ParseFaultSchedule(fmt.Sprintf("kill:%d@21", ranks-1))
+	faults, err := collective.ParseFaultSchedule(fmt.Sprintf("kill:%d@21", ranks-1))
 	if err != nil {
 		panic(err)
 	}
-	faultStore, err := recsim.OpenCheckpointStore(faultDir)
+	faultStore, err := ckpt.OpenStore(faultDir)
 	if err != nil {
 		panic(err)
 	}
@@ -107,8 +111,8 @@ func main() {
 	// 4. Rank-elastic rejoin: the same store restores into a 2-rank
 	// world; the per-table shards re-shard onto the smaller world and
 	// training continues from the checkpointed step.
-	ht, info, err := recsim.RestoreHybridTrainer(cfg,
-		recsim.HybridConfig{Ranks: 2, LR: 0.05, Seed: 1}, faultStore, nil)
+	ht, info, err := hybrid.Restore(cfg,
+		hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1}, faultStore, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -6,7 +6,8 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -14,10 +15,10 @@ import (
 
 func main() {
 	// Access-pattern characterization on a production-shaped model.
-	cfg := recsim.ModelConfig{
+	cfg := core.Config{
 		Name:          "fleet-example",
 		DenseFeatures: 32,
-		Sparse: []recsim.SparseFeature{
+		Sparse: []core.SparseFeature{
 			{Name: "small-hot", HashSize: 1000, MeanPooled: 20, MaxPooled: 32},
 			{Name: "mid", HashSize: 100000, MeanPooled: 6, MaxPooled: 32},
 			{Name: "big-cold", HashSize: 2000000, MeanPooled: 1, MaxPooled: 4},
@@ -25,11 +26,11 @@ func main() {
 		EmbeddingDim: 16,
 		BottomMLP:    []int{32},
 		TopMLP:       []int{32},
-		Interaction:  recsim.InteractionConcat,
+		Interaction:  core.Concat,
 	}
-	gen := recsim.NewGenerator(cfg, 5)
+	gen := data.NewGenerator(cfg, 5, data.DefaultOptions())
 	col := trace.NewCollector(cfg)
-	var batches []*recsim.MiniBatch
+	var batches []*core.MiniBatch
 	examples := 0
 	for i := 0; i < 30; i++ {
 		b := gen.NextBatch(128)

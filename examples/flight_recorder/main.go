@@ -18,7 +18,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/telemetry"
+	"repro/internal/xrand"
 )
 
 func main() {
@@ -37,36 +40,36 @@ func demo(validate bool) error {
 	}
 	defer os.RemoveAll(dir)
 
-	cfg := recsim.ModelConfig{
+	cfg := core.Config{
 		Name:          "flightrec-demo",
 		DenseFeatures: 16,
-		Sparse:        recsim.UniformSparse(4, 2000, 5),
+		Sparse:        core.UniformSparse(4, 2000, 5),
 		EmbeddingDim:  16,
 		BottomMLP:     []int{32},
 		TopMLP:        []int{32, 16},
-		Interaction:   recsim.InteractionDot,
+		Interaction:   core.DotProduct,
 	}
 	const iters, batch, spikeAt = 40, 64, 30
 	if !validate {
-		fmt.Println(recsim.Describe(cfg))
+		fmt.Println(core.Describe(cfg))
 		fmt.Printf("training %d steps, corrupting the batch at step %d\n\n", iters, spikeAt)
 	}
 
 	// Tracer + registry feed the recorder its per-phase and meter
 	// deltas; the bundle directory arms trigger dumps.
-	tracer := recsim.NewTracer(1, 4096)
-	reg := recsim.NewTelemetryRegistry()
-	fr, err := recsim.OpenFlightRecorder(recsim.FlightRecorderConfig{
+	tracer := telemetry.NewTracer(1, 4096)
+	reg := telemetry.NewRegistry()
+	fr, err := telemetry.OpenFlightRecorder(telemetry.FlightRecorderConfig{
 		Dir: dir, Tracer: tracer, Registry: reg,
 	})
 	if err != nil {
 		return err
 	}
 
-	tr := recsim.NewTrainer(recsim.NewModel(cfg, 1), recsim.TrainerConfig{LR: 0.05})
+	tr := core.NewTrainer(core.NewModel(cfg, xrand.New(1)), core.TrainerConfig{LR: 0.05})
 	tr.SetTrace(tracer, 0)
 	tr.SetRecorder(fr)
-	gen := recsim.NewGenerator(cfg, 2)
+	gen := data.NewGenerator(cfg, 2, data.DefaultOptions())
 	for step := 0; step < iters; step++ {
 		mb := gen.NextBatch(batch)
 		if step == spikeAt {
@@ -94,7 +97,7 @@ func demo(validate bool) error {
 	// The checks below are the -validate contract; the interactive demo
 	// runs them too so it never prints a success story about a broken
 	// bundle.
-	if len(findings) == 0 || findings[0].Kind != recsim.AnomalyLossSpike {
+	if len(findings) == 0 || findings[0].Kind != telemetry.AnomalyLossSpike {
 		return fmt.Errorf("flight_recorder: expected a loss_spike finding, got %+v", findings)
 	}
 	if got := findings[0].Step; got != spikeAt {
@@ -121,7 +124,7 @@ func validateBundle(dir string, step int64) error {
 	if err != nil {
 		return fmt.Errorf("flight_recorder: manifest: %w", err)
 	}
-	var man recsim.BundleManifest
+	var man telemetry.BundleManifest
 	if err := json.Unmarshal(raw, &man); err != nil {
 		return fmt.Errorf("flight_recorder: manifest parse: %w", err)
 	}
@@ -164,8 +167,8 @@ func validateBundle(dir string, step int64) error {
 		return err
 	}
 	var doc struct {
-		Samples []recsim.StepSample     `json:"samples"`
-		Marks   []recsim.TimeseriesMark `json:"marks"`
+		Samples []telemetry.StepSample `json:"samples"`
+		Marks   []telemetry.SeriesMark `json:"marks"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return fmt.Errorf("flight_recorder: timeseries parse: %w", err)

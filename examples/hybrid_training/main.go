@@ -10,26 +10,32 @@ import (
 	"fmt"
 	"math"
 
-	"repro"
+	"repro/internal/collective"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/hw"
+	"repro/internal/hybrid"
+	"repro/internal/perfmodel"
+	"repro/internal/xrand"
 )
 
 func main() {
-	cfg := recsim.ModelConfig{
+	cfg := core.Config{
 		Name:          "hybrid-demo",
 		DenseFeatures: 32,
-		Sparse:        recsim.UniformSparse(8, 5000, 5),
+		Sparse:        core.UniformSparse(8, 5000, 5),
 		EmbeddingDim:  16,
 		BottomMLP:     []int{64},
 		TopMLP:        []int{64, 32},
-		Interaction:   recsim.InteractionDot,
+		Interaction:   core.DotProduct,
 	}
-	fmt.Println(recsim.Describe(cfg))
+	fmt.Println(core.Describe(cfg))
 
 	const iters, batch = 60, 128
 
 	// 1. Single-process reference run.
-	single := recsim.NewTrainer(recsim.NewModel(cfg, 1), recsim.TrainerConfig{LR: 0.05})
-	gen := recsim.NewGenerator(cfg, 7)
+	single := core.NewTrainer(core.NewModel(cfg, xrand.New(1)), core.TrainerConfig{LR: 0.05})
+	gen := data.NewGenerator(cfg, 7, data.DefaultOptions())
 	refLoss := make([]float64, iters)
 	for i := range refLoss {
 		refLoss[i] = single.Step(gen.NextBatch(batch))
@@ -37,11 +43,8 @@ func main() {
 
 	// 2. The same seed and batch stream on 4 synchronous ranks, with the
 	// collectives priced by Big Basin's NVLink fabric.
-	link, err := recsim.HybridLink("BigBasin")
-	if err != nil {
-		panic(err)
-	}
-	ht, err := recsim.NewHybridTrainer(cfg, recsim.HybridConfig{
+	link := collective.LinkFor(hw.BigBasin())
+	ht, err := hybrid.New(cfg, hybrid.Config{
 		Ranks: 4, LR: 0.05, Seed: 1, Overlap: true, Link: link,
 	})
 	if err != nil {
@@ -49,8 +52,8 @@ func main() {
 	}
 	defer ht.Close()
 
-	gen = recsim.NewGenerator(cfg, 7)
-	var last recsim.HybridStepBreakdown
+	gen = data.NewGenerator(cfg, 7, data.DefaultOptions())
+	var last hybrid.StepBreakdown
 	var worst float64
 	for i := 0; i < iters; i++ {
 		loss, bd, _ := ht.Step(gen.NextBatch(batch))
@@ -71,15 +74,15 @@ func main() {
 	// 4. Observed collective traffic vs the analytic volumes.
 	fmt.Printf("\nper-iteration collective traffic (observed vs analytic):\n")
 	fmt.Printf("  all-to-all %d B vs %.0f B\n",
-		last.AllToAllBytes, recsim.HybridAllToAllBytes(cfg, batch, ht.Ranks()))
+		last.AllToAllBytes, perfmodel.HybridAllToAllBytes(cfg, batch, ht.Ranks()))
 	fmt.Printf("  all-reduce %d B vs %.0f B\n",
-		last.AllReduceBytes, recsim.HybridAllReduceBytes(cfg, ht.Ranks()))
+		last.AllReduceBytes, perfmodel.HybridAllReduceBytes(cfg, ht.Ranks()))
 	fmt.Printf("  modeled wire time on %s: a2a %.3fms, all-reduce %.3fms\n",
 		link.Name, 1e3*last.ModelAllToAllSec, 1e3*last.ModelAllReduceSec)
 
 	// 5. Held-out quality from the assembled eval view (a Fork shares the
 	// training stream's hidden teacher, so the task is the same).
-	eval := recsim.Evaluate(ht.EvalModel(), gen.Fork(999).EvalSet(4, 256))
+	eval := core.Evaluate(ht.EvalModel(), gen.Fork(999).EvalSet(4, 256))
 	fmt.Printf("\nheld-out: NE %.4f, accuracy %.4f over %d examples\n",
 		eval.NE, eval.Accuracy, eval.Examples)
 }

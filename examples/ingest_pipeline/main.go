@@ -10,18 +10,22 @@ import (
 	"log"
 	"os"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/hybrid"
+	"repro/internal/ingest"
+	"repro/internal/xrand"
 )
 
 func main() {
-	cfg := recsim.ModelConfig{
+	cfg := core.Config{
 		Name:          "ingest-example",
 		DenseFeatures: 16,
-		Sparse:        recsim.UniformSparse(4, 5000, 4),
+		Sparse:        core.UniformSparse(4, 5000, 4),
 		EmbeddingDim:  16,
 		BottomMLP:     []int{32},
 		TopMLP:        []int{32, 16},
-		Interaction:   recsim.InteractionDot,
+		Interaction:   core.DotProduct,
 	}
 
 	// 1. Materialize: the deterministic generator writes shard files plus
@@ -31,12 +35,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	gen := recsim.NewGenerator(cfg, 42)
+	gen := data.NewGenerator(cfg, 42, data.DefaultOptions())
 	if err := gen.WriteShards(dir, 4, 1024); err != nil {
 		log.Fatal(err)
 	}
 
-	ds, err := recsim.OpenDataset(dir)
+	ds, err := ingest.OpenDataset(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,13 +49,13 @@ func main() {
 		ds.Examples(), len(ds.Manifest.Shards), ds.Bytes())
 
 	// 2. Single-process trainer from disk, dedup on.
-	pipe, err := recsim.OpenIngestPipeline(ds, cfg, recsim.IngestOptions{
+	pipe, err := ingest.Open(ds, cfg, ingest.Options{
 		BatchSize: 128, Readers: 2, Dedup: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := recsim.NewTrainer(recsim.NewModel(cfg, 1), recsim.TrainerConfig{LR: 0.05})
+	tr := core.NewTrainer(core.NewModel(cfg, xrand.New(1)), core.TrainerConfig{LR: 0.05})
 	loss, steps, err := tr.TrainFrom(pipe, 50)
 	if err != nil {
 		log.Fatal(err)
@@ -63,14 +67,14 @@ func main() {
 		m.ReadMBps(), m.DedupRatio(), 100*m.StarvationFrac(), m.Occupancy())
 
 	// 3. The same interface feeds the hybrid-parallel engine.
-	pipe2, err := recsim.OpenIngestPipeline(ds, cfg, recsim.IngestOptions{
+	pipe2, err := ingest.Open(ds, cfg, ingest.Options{
 		BatchSize: 128, Readers: 2, Dedup: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer pipe2.Close()
-	ht, err := recsim.NewHybridTrainer(cfg, recsim.HybridConfig{Ranks: 2, LR: 0.05, Seed: 1})
+	ht, err := hybrid.New(cfg, hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,25 +14,30 @@ import (
 	"fmt"
 	"math"
 
-	"repro"
+	"repro/internal/collective"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/hybrid"
+	"repro/internal/perfmodel"
+	"repro/internal/tensor"
 )
 
 func main() {
-	base := recsim.ModelConfig{
+	base := core.Config{
 		Name:          "mixed-precision-demo",
 		DenseFeatures: 32,
-		Sparse:        recsim.UniformSparse(8, 5000, 5),
+		Sparse:        core.UniformSparse(8, 5000, 5),
 		EmbeddingDim:  16,
 		BottomMLP:     []int{64},
 		TopMLP:        []int{64, 32},
-		Interaction:   recsim.InteractionDot,
+		Interaction:   core.DotProduct,
 	}
 	const iters, batch, ranks = 60, 128, 2
 
-	run := func(dt recsim.EmbeddingDType, wire recsim.WireFormat) (mean float64, a2a, ar int64) {
+	run := func(dt tensor.DType, wire collective.WireFormat) (mean float64, a2a, ar int64) {
 		cfg := base
 		cfg.TableDType = dt
-		ht, err := recsim.NewHybridTrainer(cfg, recsim.HybridConfig{
+		ht, err := hybrid.New(cfg, hybrid.Config{
 			Ranks: ranks, LR: 0.05, Seed: 1,
 			WireA2A: wire, WireAllReduce: wire,
 		})
@@ -40,7 +45,7 @@ func main() {
 			panic(err)
 		}
 		defer ht.Close()
-		gen := recsim.NewGenerator(cfg, 7)
+		gen := data.NewGenerator(cfg, 7, data.DefaultOptions())
 		for i := 0; i < iters; i++ {
 			loss, _, err := ht.Step(gen.NextBatch(batch))
 			if err != nil {
@@ -53,8 +58,8 @@ func main() {
 	}
 
 	// 1. fp32 baseline vs bf16 tables + fp16 all-to-all / int8 all-reduce.
-	fp32Loss, fp32A2A, fp32AR := run(recsim.DTypeFP32, recsim.WireFP32)
-	mixLoss, mixA2A, mixAR := run(recsim.DTypeBF16, recsim.WireFP16)
+	fp32Loss, fp32A2A, fp32AR := run(tensor.FP32, collective.WireFP32)
+	mixLoss, mixA2A, mixAR := run(tensor.BF16, collective.WireFP16)
 
 	fmt.Printf("fp32      : mean loss %.4f  a2a %6d B/iter  allreduce %6d B/iter\n",
 		fp32Loss, fp32A2A, fp32AR)
@@ -65,15 +70,15 @@ func main() {
 		float64(fp32A2A+fp32AR)/float64(mixA2A+mixAR))
 
 	// 2. The meters match the dtype-aware analytic volumes.
-	bpe := recsim.WireFP16.BytesPerElem()
-	wantA2A := recsim.HybridAllToAllBytesWire(base, batch, ranks, bpe)
-	wantAR := recsim.HybridAllReduceBytesWire(base, ranks, bpe)
+	bpe := collective.WireFP16.BytesPerElem()
+	wantA2A := perfmodel.HybridAllToAllBytesWire(base, batch, ranks, bpe)
+	wantAR := perfmodel.HybridAllReduceBytesWire(base, ranks, bpe)
 	fmt.Printf("analytic  : a2a %.0f B/iter (meter/analytic %.3f), allreduce %.0f B/iter (%.3f)\n",
 		wantA2A, float64(mixA2A)/wantA2A, wantAR, float64(mixAR)/wantAR)
 
 	// 3. Capacity: the lookup path halves; masters live in optimizer state.
 	bf16 := base
-	bf16.TableDType = recsim.DTypeBF16
+	bf16.TableDType = tensor.BF16
 	fmt.Printf("embedding lookup bytes: fp32 %d, bf16 %d\n",
 		base.EmbeddingBytes(), bf16.EmbeddingBytes())
 }

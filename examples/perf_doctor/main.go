@@ -14,8 +14,12 @@ import (
 	"os"
 	"time"
 
-	"repro"
+	"repro/internal/benchreport"
 	"repro/internal/collective"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/hybrid"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -26,16 +30,16 @@ func main() {
 }
 
 func demo() error {
-	cfg := recsim.ModelConfig{
+	cfg := core.Config{
 		Name:          "doctor-demo",
 		DenseFeatures: 16,
-		Sparse:        recsim.UniformSparse(4, 2000, 5),
+		Sparse:        core.UniformSparse(4, 2000, 5),
 		EmbeddingDim:  16,
 		BottomMLP:     []int{32},
 		TopMLP:        []int{32, 16},
-		Interaction:   recsim.InteractionDot,
+		Interaction:   core.DotProduct,
 	}
-	fmt.Println(recsim.Describe(cfg))
+	fmt.Println(core.Describe(cfg))
 	const iters, batch, ranks = 30, 64, 2
 
 	for _, faulted := range []bool{false, true} {
@@ -49,15 +53,15 @@ func demo() error {
 		// [0, ShardCount), every meter (including the per-rank
 		// collective wait counters the straggler analysis joins) lands
 		// in the registry.
-		hc := recsim.HybridConfig{Ranks: ranks, LR: 0.05, Seed: 1, Overlap: true}
-		reg := recsim.NewTelemetryRegistry()
-		tracer := recsim.NewTracer(hc.ShardCount(), 4096)
+		hc := hybrid.Config{Ranks: ranks, LR: 0.05, Seed: 1, Overlap: true}
+		reg := telemetry.NewRegistry()
+		tracer := telemetry.NewTracer(hc.ShardCount(), 4096)
 		hc.Registry, hc.Trace, hc.TraceShard = reg, tracer, 0
 		// Publishing the phase histograms makes /metrics and
 		// Snapshot.Render carry p50/p95/p99/p999 per phase.
-		recsim.RegisterPhaseHists(reg, tracer)
+		telemetry.RegisterPhaseHists(reg, tracer)
 
-		ht, err := recsim.NewHybridTrainer(cfg, hc)
+		ht, err := hybrid.New(cfg, hc)
 		if err != nil {
 			return err
 		}
@@ -70,7 +74,7 @@ func demo() error {
 			}
 			ht.SetFaults(collective.NewFaultSchedule(faults...))
 		}
-		gen := recsim.NewGenerator(cfg, 2)
+		gen := data.NewGenerator(cfg, 2, data.DefaultOptions())
 		if _, _, _, err := ht.TrainFrom(gen.NewSource(batch), iters); err != nil {
 			ht.Close()
 			return err
@@ -78,7 +82,7 @@ func demo() error {
 		ht.Close()
 
 		// The doctor fuses the span trace with the metrics snapshot.
-		rep := recsim.Diagnose(recsim.DoctorInput{
+		rep := telemetry.Diagnose(telemetry.DoctorInput{
 			Snap:    tracer.Snapshot(),
 			Metrics: reg.Snapshot(),
 		})
@@ -86,7 +90,7 @@ func demo() error {
 
 		if !faulted {
 			// Quantiles from the zero-allocation phase histograms.
-			h := tracer.PhaseHist(recsim.TracePhase(0)) // step
+			h := tracer.PhaseHist(telemetry.Phase(0)) // step
 			q := h.Summary()
 			fmt.Printf("\nstep latency: n=%d mean %.3fms p50 %.3fms p99 %.3fms max %.3fms\n",
 				q.Count, q.Mean/1e6, float64(q.P50)/1e6, float64(q.P99)/1e6, float64(q.Max)/1e6)
@@ -97,7 +101,7 @@ func demo() error {
 	// committed bench reports.
 	old, new := "BENCH_20260808T110216Z.json", "BENCH_20260808T115935Z.json"
 	if _, err := os.Stat(old); err == nil {
-		d, err := recsim.CompareBenchReports(old, new, recsim.DefaultBenchTolerance())
+		d, err := benchreport.CompareFiles(old, new, benchreport.DefaultTolerance())
 		if err != nil {
 			return err
 		}

@@ -5,34 +5,33 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/hw"
+	"repro/internal/perfmodel"
+	"repro/internal/placement"
+	"repro/internal/workload"
 )
 
 func main() {
-	m2 := recsim.ProductionModels()[1]
-	fmt.Println(recsim.Describe(m2))
+	m2 := workload.ProdModels()[1]
+	fmt.Println(core.Describe(m2))
 	fmt.Println()
 
-	strategies := []recsim.PlacementStrategy{
-		recsim.PlaceGPUMemory, recsim.PlaceSystemMemory, recsim.PlaceRemoteCPU, recsim.PlaceHybrid,
+	strategies := []placement.Strategy{
+		placement.GPUMemory, placement.SystemMemory, placement.RemoteCPU, placement.Hybrid,
 	}
-	for _, platform := range []string{"BigBasin", "Zion"} {
-		fmt.Printf("%s:\n", platform)
+	for _, platform := range []hw.Platform{hw.BigBasin(), hw.Zion()} {
+		fmt.Printf("%s:\n", platform.Name)
 		for _, strat := range strategies {
-			plan, err := recsim.FitPlacement(m2, platform, strat, 8)
+			plan, err := placement.Fit(m2, platform, strat, 8)
 			if err != nil {
 				fmt.Printf("  %-12s infeasible: %v\n", strat, err)
 				continue
 			}
-			bd, err := recsim.EstimateGPU(m2, platform, 3200, strat)
+			bd, err := estimate(m2, platform, strat)
 			if err != nil {
-				// RemoteCPU needs the explicit plan with PS count.
-				bd2, err2 := estimateWithPlan(m2, platform, plan)
-				if err2 != nil {
-					fmt.Printf("  %-12s error: %v\n", strat, err2)
-					continue
-				}
-				bd = bd2
+				fmt.Printf("  %-12s error: %v\n", strat, err)
+				continue
 			}
 			where := describePlan(plan)
 			fmt.Printf("  %-12s %9.0f ex/s  bottleneck=%-9s %s\n",
@@ -45,11 +44,17 @@ func main() {
 	fmt.Println("in its 2TB / 1TB/s system memory.")
 }
 
-func estimateWithPlan(cfg recsim.ModelConfig, platform string, plan recsim.PlacementPlan) (recsim.Breakdown, error) {
-	return recsim.EstimateGPU(cfg, platform, 3200, plan.Strategy)
+// estimate prices a 3200-example iteration under the strategy's default
+// plan (the remote-PS fleet auto-sized).
+func estimate(cfg core.Config, platform hw.Platform, strat placement.Strategy) (perfmodel.Breakdown, error) {
+	plan, err := placement.Fit(cfg, platform, strat, 0)
+	if err != nil {
+		return perfmodel.Breakdown{}, err
+	}
+	return perfmodel.Estimate(perfmodel.Scenario{Cfg: cfg, Platform: platform, Batch: 3200, Plan: plan})
 }
 
-func describePlan(p recsim.PlacementPlan) string {
+func describePlan(p placement.Plan) string {
 	switch {
 	case p.RemotePS > 0:
 		return fmt.Sprintf("(%d remote PS)", p.RemotePS)

@@ -6,7 +6,10 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/hw"
+	"repro/internal/perfmodel"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -16,23 +19,26 @@ func main() {
 		"M2prod": {20, 15, 1, 3200},
 		"M3prod": {8, 7, 1, 800},
 	}
-	for _, cfg := range recsim.ProductionModels() {
-		fmt.Println(recsim.Describe(cfg))
+	for _, cfg := range workload.ProdModels() {
+		fmt.Println(core.Describe(cfg))
 		s := setups[cfg.Name]
-		cpu, err := recsim.EstimateCPUCluster(cfg, 200, s.trainers, s.sparsePS, s.densePS)
+		cpu, err := perfmodel.Estimate(perfmodel.Scenario{
+			Cfg: cfg, Platform: hw.DualSocketCPU(), Batch: 200,
+			NumTrainers: s.trainers, NumSparsePS: s.sparsePS, NumDensePS: s.densePS,
+		})
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("  CPU cluster (%d trainers, %d PS): %8.0f ex/s, %5.1f power units, bottleneck=%s\n",
 			s.trainers, s.sparsePS+s.densePS, cpu.Throughput, cpu.PowerUnits, cpu.Bottleneck)
-		for _, platform := range []string{"BigBasin", "Zion"} {
-			plan, bd, err := recsim.BestPlacement(cfg, platform, s.gpuBatch)
+		for _, platform := range []hw.Platform{hw.BigBasin(), hw.Zion()} {
+			plan, bd, err := perfmodel.BestPlacement(cfg, platform, s.gpuBatch, perfmodel.DefaultCalibration())
 			if err != nil {
-				fmt.Printf("  %s: %v\n", platform, err)
+				fmt.Printf("  %s: %v\n", platform.Name, err)
 				continue
 			}
 			fmt.Printf("  %-9s best placement %-12s: %8.0f ex/s (%.2fx CPU), power eff %.2fx\n",
-				platform, plan.Strategy, bd.Throughput, bd.Throughput/cpu.Throughput,
+				platform.Name, plan.Strategy, bd.Throughput, bd.Throughput/cpu.Throughput,
 				bd.PowerEfficiency()/cpu.PowerEfficiency())
 		}
 		fmt.Println()

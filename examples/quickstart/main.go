@@ -1,18 +1,20 @@
 // Quickstart: build a small DLRM, train it on synthetic click data, and
-// evaluate normalized entropy — the five-minute tour of the public API.
+// evaluate normalized entropy — the five-minute tour of the training stack.
 package main
 
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/xrand"
 )
 
 func main() {
-	cfg := recsim.ModelConfig{
+	cfg := core.Config{
 		Name:          "quickstart",
 		DenseFeatures: 16,
-		Sparse: []recsim.SparseFeature{
+		Sparse: []core.SparseFeature{
 			{Name: "user_id", HashSize: 5000, MeanPooled: 1, MaxPooled: 1},
 			{Name: "item_history", HashSize: 20000, MeanPooled: 8, MaxPooled: 32},
 			{Name: "page_category", HashSize: 300, MeanPooled: 2, MaxPooled: 8},
@@ -20,13 +22,13 @@ func main() {
 		EmbeddingDim: 16,
 		BottomMLP:    []int{64},
 		TopMLP:       []int{64, 32},
-		Interaction:  recsim.InteractionDot,
+		Interaction:  core.DotProduct,
 	}
-	fmt.Println(recsim.Describe(cfg))
+	fmt.Println(core.Describe(cfg))
 
-	model := recsim.NewModel(cfg, 42)
-	trainer := recsim.NewTrainer(model, recsim.TrainerConfig{LR: 0.05})
-	gen := recsim.NewGenerator(cfg, 43)
+	model := core.NewModel(cfg, xrand.New(42))
+	trainer := core.NewTrainer(model, core.TrainerConfig{LR: 0.05})
+	gen := data.NewGenerator(cfg, 43, data.DefaultOptions())
 
 	for i := 0; i < 300; i++ {
 		loss := trainer.Step(gen.NextBatch(128))
@@ -35,7 +37,7 @@ func main() {
 		}
 	}
 
-	eval := recsim.Evaluate(model, gen.EvalSet(8, 256))
+	eval := core.Evaluate(model, gen.EvalSet(8, 256))
 	fmt.Printf("held-out: logloss %.4f  NE %.4f  accuracy %.4f\n",
 		eval.LogLoss, eval.NE, eval.Accuracy)
 	if eval.NE < 1 {

@@ -15,7 +15,13 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/hw"
+	"repro/internal/hybrid"
+	"repro/internal/perfmodel"
+	"repro/internal/placement"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -36,32 +42,32 @@ func main() {
 }
 
 func demo() error {
-	cfg := recsim.ModelConfig{
+	cfg := core.Config{
 		Name:          "telemetry-demo",
 		DenseFeatures: 32,
-		Sparse:        recsim.UniformSparse(8, 5000, 5),
+		Sparse:        core.UniformSparse(8, 5000, 5),
 		EmbeddingDim:  16,
 		BottomMLP:     []int{64},
 		TopMLP:        []int{64, 32},
-		Interaction:   recsim.InteractionDot,
+		Interaction:   core.DotProduct,
 	}
-	fmt.Println(recsim.Describe(cfg))
+	fmt.Println(core.Describe(cfg))
 	const iters, batch, ranks = 40, 128, 2
 
 	// 1. One tracer and one registry for the whole run. The hybrid
 	// trainer writes rank spans onto shards [0, ShardCount) and its step
 	// counters into the registry.
-	hc := recsim.HybridConfig{Ranks: ranks, LR: 0.05, Seed: 1, Overlap: true}
-	reg := recsim.NewTelemetryRegistry()
-	tracer := recsim.NewTracer(hc.ShardCount(), 4096)
+	hc := hybrid.Config{Ranks: ranks, LR: 0.05, Seed: 1, Overlap: true}
+	reg := telemetry.NewRegistry()
+	tracer := telemetry.NewTracer(hc.ShardCount(), 4096)
 	hc.Registry, hc.Trace, hc.TraceShard = reg, tracer, 0
 
-	ht, err := recsim.NewHybridTrainer(cfg, hc)
+	ht, err := hybrid.New(cfg, hc)
 	if err != nil {
 		return err
 	}
 	defer ht.Close()
-	gen := recsim.NewGenerator(cfg, 7)
+	gen := data.NewGenerator(cfg, 7, data.DefaultOptions())
 	for i := 0; i < iters; i++ {
 		ht.Step(gen.NextBatch(batch))
 	}
@@ -69,10 +75,13 @@ func demo() error {
 	// 2. Attribution: observed per-phase step time, joined against the
 	// analytic perfmodel prediction for the same model and batch.
 	snap := tracer.Snapshot()
-	attr := recsim.Attribute(snap)
-	predicted := map[recsim.TracePhase]float64(nil)
-	if bd, err := recsim.EstimateGPU(cfg, "BigBasin", batch, recsim.PlaceGPUMemory); err == nil {
-		predicted = recsim.PredictedPhases(bd)
+	attr := telemetry.Attribute(snap)
+	predicted := map[telemetry.Phase]float64(nil)
+	bb := hw.BigBasin()
+	if plan, err := placement.Fit(cfg, bb, placement.GPUMemory, 0); err == nil {
+		if bd, err := perfmodel.Estimate(perfmodel.Scenario{Cfg: cfg, Platform: bb, Batch: batch, Plan: plan}); err == nil {
+			predicted = perfmodel.PredictedPhases(bd)
+		}
 	}
 	fmt.Println("\nattribution (observed vs analytic perfmodel):")
 	fmt.Print(attr.Render(predicted))
@@ -88,7 +97,7 @@ func demo() error {
 	if err != nil {
 		return err
 	}
-	if err := recsim.WriteChromeTrace(f, snap); err != nil {
+	if err := telemetry.WriteChromeTrace(f, snap); err != nil {
 		f.Close()
 		return err
 	}

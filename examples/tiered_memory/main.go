@@ -8,34 +8,36 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/hw"
+	"repro/internal/memtier"
+	"repro/internal/perfmodel"
+	"repro/internal/placement"
+	"repro/internal/workload"
 )
 
 func main() {
-	m3 := recsim.ProductionModels()[2]
-	fmt.Println(recsim.Describe(m3))
+	m3 := workload.ProdModels()[2]
+	fmt.Println(core.Describe(m3))
+	bb := hw.BigBasin()
 
 	// 1. The platform's memory hierarchy, fastest to slowest.
-	tiers, err := recsim.MemoryTiers("BigBasin", 0)
-	if err != nil {
-		panic(err)
-	}
 	fmt.Println("\nBig Basin memory hierarchy:")
-	for _, t := range tiers {
+	for _, t := range bb.MemoryTiers(0) {
 		fmt.Printf("  %s\n", t)
 	}
 
 	// 2. The flat strategies hit the capacity wall.
-	if _, err := recsim.FitPlacement(m3, "BigBasin", recsim.PlaceGPUMemory, 0); err != nil {
+	if _, err := placement.Fit(m3, bb, placement.GPUMemory, 0); err != nil {
 		fmt.Printf("\nGPUMemory: %v\n", err)
 	}
-	if _, err := recsim.FitPlacement(m3, "BigBasin", recsim.PlaceSystemMemory, 0); err != nil {
+	if _, err := placement.Fit(m3, bb, placement.SystemMemory, 0); err != nil {
 		fmt.Printf("SystemMemory: %v\n", err)
 	}
 
 	// 3. The tiered strategy stages tables hottest-first and carves a
 	//    hot-row cache out of leftover HBM.
-	plan, err := recsim.FitPlacement(m3, "BigBasin", recsim.PlaceTiered, 0)
+	plan, err := placement.Fit(m3, bb, placement.Tiered, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -45,21 +47,25 @@ func main() {
 
 	// 4. Price it: the tiered plan vs the paper's remote-PS placement.
 	const batch = 800
-	tiered, err := recsim.EstimateGPU(m3, "BigBasin", batch, recsim.PlaceTiered)
-	if err != nil {
-		panic(err)
+	estimate := func(strat placement.Strategy) perfmodel.Breakdown {
+		plan, err := placement.Fit(m3, bb, strat, 0)
+		if err != nil {
+			panic(err)
+		}
+		bd, err := perfmodel.Estimate(perfmodel.Scenario{Cfg: m3, Platform: bb, Batch: batch, Plan: plan})
+		if err != nil {
+			panic(err)
+		}
+		return bd
 	}
-	remote, err := recsim.EstimateGPU(m3, "BigBasin", batch, recsim.PlaceRemoteCPU)
-	if err != nil {
-		panic(err)
-	}
+	tiered, remote := estimate(placement.Tiered), estimate(placement.RemoteCPU)
 	fmt.Printf("\nremote-PS placement: %7.0f examples/s (bottleneck: %s)\n",
 		remote.Throughput, remote.Bottleneck)
 	fmt.Printf("tiered placement:    %7.0f examples/s (bottleneck: %s) — %.1fx\n",
 		tiered.Throughput, tiered.Bottleneck, tiered.Throughput/remote.Throughput)
 
 	// 5. BestPlacement is tier-aware: it now discovers this by itself.
-	best, bd, err := recsim.BestPlacement(m3, "BigBasin", batch)
+	best, bd, err := perfmodel.BestPlacement(m3, bb, batch, perfmodel.DefaultCalibration())
 	if err != nil {
 		panic(err)
 	}
@@ -69,8 +75,8 @@ func main() {
 	//    higher hit rate, until the resident hot tables start to spill.
 	fmt.Println("\ncache-fraction sweep:")
 	for _, frac := range []float64{-1, 0.05, 0.10, 0.20} {
-		p, err := recsim.PlaceTieredWith(m3, "BigBasin", recsim.TieredOptions{
-			Assign: recsim.TierAssignOptions{CacheFraction: frac},
+		p, err := placement.FitTiered(m3, bb, placement.TieredOptions{
+			Assign: memtier.AssignOptions{CacheFraction: frac},
 		})
 		if err != nil {
 			panic(err)

@@ -19,8 +19,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// benchBatch is the mini-batch size of the train-step benchmark (matches
-// BenchmarkTrainStep in the repository root).
+// benchBatch is the mini-batch size of the train-step benchmarks.
 const benchBatch = 128
 
 // hashSink receives every embedding/hash_index result so the compiler
@@ -28,9 +27,9 @@ const benchBatch = 128
 var hashSink int32
 
 // BenchStepConfig is the mid-size DLRM shared by every train-step
-// measurement in the repository — the root BenchmarkTrainStep and
-// TestTrainStepZeroAlloc reference it too, so the committed BENCH reports
-// stay comparable with `go test -bench`.
+// measurement in the repository — the root alloc guards
+// (TestTrainStepZeroAlloc and companions) reference it too, so they pin
+// the same model the committed BENCH reports measure.
 func BenchStepConfig() core.Config {
 	return core.Config{
 		Name:          "benchrun",
@@ -112,10 +111,9 @@ func DefaultSpecs(filter string) []Spec {
 		})
 	}
 
-	// End-to-end synchronous hybrid-parallel step on 2 in-process ranks
-	// (BenchmarkHybridStep in the repository root measures the same
-	// setup): model-parallel lookups, pooled all-to-all, data-parallel
-	// dense pass, bucketed all-reduce, sparse scatter.
+	// End-to-end synchronous hybrid-parallel step on 2 in-process ranks:
+	// model-parallel lookups, pooled all-to-all, data-parallel dense
+	// pass, bucketed all-reduce, sparse scatter.
 	if want("hybrid_step") {
 		cfg := BenchStepConfig()
 		gen := data.NewGenerator(cfg, 2, data.DefaultOptions())
@@ -267,10 +265,9 @@ func DefaultSpecs(filter string) []Spec {
 
 	// End-to-end ingestion-fed training step: the staged on-disk reader
 	// pipeline (2 decoders, RecD dedup) feeding the single-process
-	// trainer, measuring the full NextBatch → Step → Recycle cycle
-	// (BenchmarkIngestStep in the repository root measures the same
-	// setup). The dataset materializes lazily into a temp dir on first
-	// use so building specs does no IO.
+	// trainer, measuring the full NextBatch → Step → Recycle cycle. The
+	// dataset materializes lazily into a temp dir on first use so
+	// building specs does no IO.
 	if want("ingest_step") {
 		cfg := BenchStepConfig()
 		var tr *core.Trainer
@@ -434,12 +431,11 @@ func DefaultSpecs(filter string) []Spec {
 	}
 
 	// Checkpoint stall: full snapshot vs incremental delta of the same
-	// trained state — the pause a training loop pays at a save point
-	// (BenchmarkCkptSnapshot in the repository root measures the same
-	// pair). Each iteration deletes the previous checkpoint after the new
-	// one lands (retain-newest policy), so the store directory stays
-	// small and the measured cost is one encode+hash+write cycle. The
-	// delta carries exactly the rows one training step touches.
+	// trained state — the pause a training loop pays at a save point.
+	// Each iteration deletes the previous checkpoint after the new one
+	// lands (retain-newest policy), so the store directory stays small
+	// and the measured cost is one encode+hash+write cycle. The delta
+	// carries exactly the rows one training step touches.
 	if want("ckpt_snapshot/full", "ckpt_snapshot/delta") {
 		cfg := BenchStepConfig()
 		tr := core.NewTrainer(core.NewModel(cfg, xrand.New(1)), core.TrainerConfig{LR: 0.05})

@@ -153,9 +153,6 @@ func NewWorldWith(n int, link Link, reg *telemetry.Registry) *World {
 	return w
 }
 
-// RankWaitNs returns rank k's cumulative rendezvous wait in nanoseconds.
-func (w *World) RankWaitNs(k int) int64 { return w.rankWait[k].Load() }
-
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.n }
 

@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -216,13 +215,6 @@ func (c *Config) DenseParamBytes() int64 {
 	return n * 4
 }
 
-// PooledBytesPerExample returns the bytes of pooled embedding activations
-// exchanged per example between the sparse side and the interaction
-// (S·d·4). This is the wire payload when embeddings live remotely.
-func (c *Config) PooledBytesPerExample() int64 {
-	return int64(c.NumSparse()) * int64(c.EmbeddingDim) * 4
-}
-
 // TableStats converts the sparse feature list into the size/access
 // statistics that sharding and placement operate on.
 func (c *Config) TableStats() []TableStatView {
@@ -264,6 +256,13 @@ func UniformSparse(n, hashSize int, meanPooled float64) []SparseFeature {
 	return feats
 }
 
+// Describe returns a one-line summary of a model config.
+func Describe(cfg Config) string {
+	return fmt.Sprintf("%s: %d dense, %d sparse, %s embeddings, %.0f lookups/example",
+		cfg.Name, cfg.DenseFeatures, cfg.NumSparse(),
+		HumanBytes(cfg.EmbeddingBytes()), cfg.LookupsPerExample())
+}
+
 // GB formats a byte count as gigabytes.
 func GB(bytes int64) float64 { return float64(bytes) / (1 << 30) }
 
@@ -299,6 +298,3 @@ func bitsLen(v uint) int {
 	}
 	return n
 }
-
-// Almost reports |a-b| <= eps, a float comparison helper shared by tests.
-func Almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }

@@ -106,8 +106,8 @@ type Model struct {
 
 	// Trace, when non-nil, records phase spans (embedding lookup, dense
 	// forward/backward, sparse scatter) onto TraceShard. The model must
-	// be driven by a single goroutine per shard (it already is: workers
-	// use ShareWeights clones).
+	// be driven by a single goroutine per shard (it already is: each
+	// hybrid rank owns its model).
 	Trace      *telemetry.Tracer
 	TraceShard int
 }
@@ -375,8 +375,8 @@ func (m *Model) BackwardPooled(dLogits []float32) []*tensor.Matrix {
 	return m.dPooled
 }
 
-// DenseParams returns the MLP parameters (bottom then top) for optimizers
-// and EASGD synchronization.
+// DenseParams returns the MLP parameters (bottom then top) for the
+// optimizers.
 func (m *Model) DenseParams() []nn.Param {
 	return append(m.Bottom.Params(), m.Top.Params()...)
 }

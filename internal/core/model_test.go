@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -221,43 +220,6 @@ func TestCloneModelIndependent(t *testing.T) {
 	c.Tables[0].Weights.Data[0] += 5
 	if m.Tables[0].Weights.Data[0] == c.Tables[0].Weights.Data[0] {
 		t.Error("Clone must copy tables")
-	}
-}
-
-func TestSaveLoadWeights(t *testing.T) {
-	cfg := testConfig()
-	m := NewModel(cfg, xrand.New(11))
-	b := makeBatch(cfg, 4, 12)
-	want := m.Forward(b)
-
-	var buf bytes.Buffer
-	if err := m.SaveWeights(&buf); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	m2 := NewModel(cfg, xrand.New(999)) // different init
-	if err := m2.LoadWeights(&buf); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	got := m2.Forward(b)
-	for i := range want {
-		if math.Abs(float64(want[i]-got[i])) > 1e-6 {
-			t.Fatalf("logit %d differs after load: %v vs %v", i, want[i], got[i])
-		}
-	}
-}
-
-func TestLoadWeightsRejectsWrongShape(t *testing.T) {
-	cfg := testConfig()
-	m := NewModel(cfg, xrand.New(13))
-	var buf bytes.Buffer
-	if err := m.SaveWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	other := cfg
-	other.EmbeddingDim = 4
-	m2 := NewModel(other, xrand.New(14))
-	if err := m2.LoadWeights(&buf); err == nil {
-		t.Error("mismatched snapshot accepted")
 	}
 }
 

@@ -291,33 +291,3 @@ func (s *GeneratorSource) Recycle(mb *core.MiniBatch) {
 		s.free = append(s.free, mb)
 	}
 }
-
-// Reader streams batches through a bounded channel from a dedicated
-// goroutine, mirroring the decoupled reader tier of the production
-// pipeline. Close stops the producer.
-type Reader struct {
-	C    <-chan *core.MiniBatch
-	stop chan struct{}
-}
-
-// NewReader starts a reader producing batches of the given size with the
-// given channel depth.
-func NewReader(g *Generator, batchSize, depth int) *Reader {
-	ch := make(chan *core.MiniBatch, depth)
-	stop := make(chan struct{})
-	go func() {
-		defer close(ch)
-		for {
-			b := g.NextBatch(batchSize)
-			select {
-			case ch <- b:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	return &Reader{C: ch, stop: stop}
-}
-
-// Close terminates the producing goroutine.
-func (r *Reader) Close() { close(r.stop) }

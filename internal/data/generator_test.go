@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/xrand"
@@ -251,36 +250,37 @@ func TestWriteShardsDeterministic(t *testing.T) {
 	}
 }
 
-func TestReaderStreams(t *testing.T) {
-	g := NewGenerator(genConfig(), 8, DefaultOptions())
-	r := NewReader(g, 16, 4)
-	defer r.Close()
-	for i := 0; i < 5; i++ {
-		select {
-		case b := <-r.C:
-			if b.Batch() != 16 {
-				t.Fatalf("reader batch size %d", b.Batch())
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("reader stalled")
-		}
+// TestGeneratorForkSharesTask: two forks of one generator are learnable
+// by a single model interchangeably (shared teacher).
+func TestGeneratorForkSharesTask(t *testing.T) {
+	cfg := core.Config{
+		Name:          "fork-test",
+		DenseFeatures: 8,
+		Sparse:        core.UniformSparse(4, 200, 3),
+		EmbeddingDim:  8,
+		BottomMLP:     []int{16},
+		TopMLP:        []int{16},
+		Interaction:   core.DotProduct,
 	}
-}
-
-func TestReaderCloseStops(t *testing.T) {
-	g := NewGenerator(genConfig(), 9, DefaultOptions())
-	r := NewReader(g, 8, 1)
-	r.Close()
-	// Drain whatever was buffered; the channel must eventually close.
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case _, ok := <-r.C:
-			if !ok {
-				return
+	base := NewGenerator(cfg, 21, DefaultOptions())
+	a := base.Fork(1)
+	bgen := base.Fork(2)
+	// Labels from both forks must have similar base rates (same task).
+	rate := func(g *Generator) float64 {
+		pos, n := 0.0, 0.0
+		for i := 0; i < 10; i++ {
+			b := g.NextBatch(128)
+			for _, y := range b.Labels {
+				n++
+				if y > 0.5 {
+					pos++
+				}
 			}
-		case <-deadline:
-			t.Fatal("reader did not stop after Close")
 		}
+		return pos / n
+	}
+	ra, rb := rate(a), rate(bgen)
+	if diff := ra - rb; diff > 0.1 || diff < -0.1 {
+		t.Errorf("forked generators disagree on base rate: %v vs %v", ra, rb)
 	}
 }

@@ -134,46 +134,6 @@ func TestRowWiseAdagradConverges(t *testing.T) {
 	}
 }
 
-func TestEASGDSyncSymmetric(t *testing.T) {
-	worker := []float32{10}
-	center := []float32{0}
-	EASGDSync(worker, center, 0.25)
-	// delta = 0.25*10 = 2.5
-	if worker[0] != 7.5 || center[0] != 2.5 {
-		t.Errorf("after sync worker=%v center=%v", worker[0], center[0])
-	}
-	// Total "mass" is conserved.
-	if worker[0]+center[0] != 10 {
-		t.Error("EASGD must conserve worker+center sum")
-	}
-}
-
-func TestEASGDConvergesWorkersToCenter(t *testing.T) {
-	center := []float32{0}
-	w1 := []float32{8}
-	w2 := []float32{-4}
-	for i := 0; i < 100; i++ {
-		EASGDSync(w1, center, 0.3)
-		EASGDSync(w2, center, 0.3)
-	}
-	if math.Abs(float64(w1[0]-center[0])) > 0.01 || math.Abs(float64(w2[0]-center[0])) > 0.01 {
-		t.Errorf("workers did not converge to center: %v %v %v", w1[0], w2[0], center[0])
-	}
-	// Consensus should be between initial extremes.
-	if center[0] < -4 || center[0] > 8 {
-		t.Errorf("center %v escaped the convex hull of workers", center[0])
-	}
-}
-
-func TestEASGDSyncPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	EASGDSync([]float32{1}, []float32{1, 2}, 0.1)
-}
-
 func TestLRScalingRules(t *testing.T) {
 	if lr := LinearScaledLR(0.1, 200, 1600); math.Abs(lr-0.8) > 1e-12 {
 		t.Errorf("linear scaled LR = %v, want 0.8", lr)

@@ -1,33 +1,51 @@
+// The repository root holds only tests: end-to-end checks that drive
+// several internal packages together, the cross-package allocation
+// guards, and the benchmarks (bench_test.go).
 package recsim
 
 import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/collective"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/experiments"
+	"repro/internal/hw"
+	"repro/internal/hybrid"
+	"repro/internal/memtier"
+	"repro/internal/perfmodel"
+	"repro/internal/placement"
+	"repro/internal/telemetry"
+	"repro/internal/tensor"
+	"repro/internal/workload"
+	"repro/internal/xrand"
 )
 
 // TestPublicAPITelemetry drives the v1.5 observability surface: trace a
 // few traced single-process steps, attribute them, export Chrome JSON,
 // and read a metric back out of a registry snapshot.
 func TestPublicAPITelemetry(t *testing.T) {
-	cfg := ModelConfig{
+	cfg := core.Config{
 		Name:          "telemetry-api",
 		DenseFeatures: 8,
-		Sparse:        UniformSparse(2, 100, 3),
+		Sparse:        core.UniformSparse(2, 100, 3),
 		EmbeddingDim:  8,
 		BottomMLP:     []int{16},
 		TopMLP:        []int{16},
-		Interaction:   InteractionDot,
+		Interaction:   core.DotProduct,
 	}
-	tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
-	tracer := NewTracer(1, 256)
+	tr := core.NewTrainer(core.NewModel(cfg, xrand.New(1)), core.TrainerConfig{LR: 0.05})
+	tracer := telemetry.NewTracer(1, 256)
 	tr.SetTrace(tracer, 0)
-	gen := NewGenerator(cfg, 2)
+	gen := data.NewGenerator(cfg, 2, data.DefaultOptions())
 	for i := 0; i < 5; i++ {
 		tr.Step(gen.NextBatch(32))
 	}
 
-	attr := Attribute(tracer.Snapshot())
+	attr := telemetry.Attribute(tracer.Snapshot())
 	if attr.TotalSteps != 5 {
 		t.Errorf("attributed %d steps, want 5", attr.TotalSteps)
 	}
@@ -41,14 +59,14 @@ func TestPublicAPITelemetry(t *testing.T) {
 		t.Errorf("report missing dense_fwd:\n%s", out)
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tracer.Snapshot()); err != nil {
+	if err := telemetry.WriteChromeTrace(&buf, tracer.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "traceEvents") {
 		t.Error("chrome trace missing traceEvents")
 	}
 
-	reg := NewTelemetryRegistry()
+	reg := telemetry.NewRegistry()
 	reg.Counter("api/steps").Add(5)
 	if got := reg.Snapshot().Get("api/steps"); got != 5 {
 		t.Errorf("registry snapshot api/steps = %d, want 5", got)
@@ -56,18 +74,18 @@ func TestPublicAPITelemetry(t *testing.T) {
 }
 
 func TestPublicAPITrainingFlow(t *testing.T) {
-	cfg := ModelConfig{
+	cfg := core.Config{
 		Name:          "api-test",
 		DenseFeatures: 8,
-		Sparse:        []SparseFeature{{Name: "f0", HashSize: 100, MeanPooled: 3, MaxPooled: 8}},
+		Sparse:        []core.SparseFeature{{Name: "f0", HashSize: 100, MeanPooled: 3, MaxPooled: 8}},
 		EmbeddingDim:  8,
 		BottomMLP:     []int{16},
 		TopMLP:        []int{16},
-		Interaction:   InteractionDot,
+		Interaction:   core.DotProduct,
 	}
-	m := NewModel(cfg, 1)
-	tr := NewTrainer(m, TrainerConfig{LR: 0.05})
-	gen := NewGenerator(cfg, 2)
+	m := core.NewModel(cfg, xrand.New(1))
+	tr := core.NewTrainer(m, core.TrainerConfig{LR: 0.05})
+	gen := data.NewGenerator(cfg, 2, data.DefaultOptions())
 	var first, last float64
 	for i := 0; i < 100; i++ {
 		loss := tr.Step(gen.NextBatch(32))
@@ -81,34 +99,31 @@ func TestPublicAPITrainingFlow(t *testing.T) {
 	if last >= first {
 		t.Errorf("loss did not improve: %v -> %v", first/10, last/10)
 	}
-	res := Evaluate(m, gen.EvalSet(4, 64))
+	res := core.Evaluate(m, gen.EvalSet(4, 64))
 	if res.Examples != 256 {
 		t.Errorf("Evaluate examples = %d", res.Examples)
 	}
 }
 
 func TestPublicAPIHybridTraining(t *testing.T) {
-	cfg := ModelConfig{
+	cfg := core.Config{
 		Name:          "api-hybrid",
 		DenseFeatures: 8,
-		Sparse:        UniformSparse(4, 200, 3),
+		Sparse:        core.UniformSparse(4, 200, 3),
 		EmbeddingDim:  8,
 		BottomMLP:     []int{16},
 		TopMLP:        []int{16},
-		Interaction:   InteractionDot,
+		Interaction:   core.DotProduct,
 	}
-	link, err := HybridLink("BigBasin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ht, err := NewHybridTrainer(cfg, HybridConfig{Ranks: 2, LR: 0.05, Link: link})
+	link := collective.LinkFor(hw.BigBasin())
+	ht, err := hybrid.New(cfg, hybrid.Config{Ranks: 2, LR: 0.05, Link: link})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ht.Close()
-	gen := NewGenerator(cfg, 2)
+	gen := data.NewGenerator(cfg, 2, data.DefaultOptions())
 	var first, last float64
-	var bd HybridStepBreakdown
+	var bd hybrid.StepBreakdown
 	for i := 0; i < 100; i++ {
 		var loss float64
 		loss, bd, _ = ht.Step(gen.NextBatch(32))
@@ -122,10 +137,10 @@ func TestPublicAPIHybridTraining(t *testing.T) {
 	if last >= first {
 		t.Errorf("hybrid loss did not improve: %v -> %v", first/10, last/10)
 	}
-	if got, want := float64(bd.AllToAllBytes), HybridAllToAllBytes(cfg, 32, 2); got != want {
+	if got, want := float64(bd.AllToAllBytes), perfmodel.HybridAllToAllBytes(cfg, 32, 2); got != want {
 		t.Errorf("metered all-to-all %v bytes, analytic %v", got, want)
 	}
-	if got, want := float64(bd.AllReduceBytes), HybridAllReduceBytes(cfg, 2); got != want {
+	if got, want := float64(bd.AllReduceBytes), perfmodel.HybridAllReduceBytes(cfg, 2); got != want {
 		t.Errorf("metered all-reduce %v bytes, analytic %v", got, want)
 	}
 	if bd.ModelAllToAllSec <= 0 {
@@ -141,33 +156,33 @@ func TestPublicAPIHybridTraining(t *testing.T) {
 // checkpoint, then a rank-elastic restore of the same store into a
 // smaller world.
 func TestPublicAPIElasticCheckpoint(t *testing.T) {
-	cfg := ModelConfig{
+	cfg := core.Config{
 		Name:          "api-elastic",
 		DenseFeatures: 8,
-		Sparse:        UniformSparse(4, 200, 3),
+		Sparse:        core.UniformSparse(4, 200, 3),
 		EmbeddingDim:  8,
 		BottomMLP:     []int{16},
 		TopMLP:        []int{16},
-		Interaction:   InteractionDot,
+		Interaction:   core.DotProduct,
 	}
-	store, err := OpenCheckpointStore(t.TempDir())
+	store, err := ckpt.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults, err := ParseFaultSchedule("kill:1@10")
+	faults, err := collective.ParseFaultSchedule("kill:1@10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const steps, batch = 16, 32
-	res, err := RunElastic(ElasticConfig{
+	res, err := hybrid.RunElastic(hybrid.ElasticConfig{
 		Cfg:       cfg,
-		HC:        HybridConfig{Ranks: 2, LR: 0.05, Seed: 1},
+		HC:        hybrid.Config{Ranks: 2, LR: 0.05, Seed: 1},
 		Store:     store,
 		CkptEvery: 4,
 		FullEvery: 2,
 		Steps:     steps,
-		Source: func(skip int) (BatchSource, func(), error) {
-			gen := NewGenerator(cfg, 7)
+		Source: func(skip int) (core.BatchSource, func(), error) {
+			gen := data.NewGenerator(cfg, 7, data.DefaultOptions())
 			for i := 0; i < skip; i++ {
 				gen.NextBatch(batch)
 			}
@@ -185,7 +200,7 @@ func TestPublicAPIElasticCheckpoint(t *testing.T) {
 		t.Errorf("recovery restored %d bytes, last root %q; want both non-empty", res.BytesRestored, res.LastRoot)
 	}
 
-	ht, info, err := RestoreHybridTrainer(cfg, HybridConfig{Ranks: 1, LR: 0.05, Seed: 1}, store, nil)
+	ht, info, err := hybrid.Restore(cfg, hybrid.Config{Ranks: 1, LR: 0.05, Seed: 1}, store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,38 +210,51 @@ func TestPublicAPIElasticCheckpoint(t *testing.T) {
 	}
 }
 
+// estimateGPU prices one training iteration of cfg on a GPU platform
+// under the strategy's default plan.
+func estimateGPU(cfg core.Config, p hw.Platform, batch int, strat placement.Strategy) (perfmodel.Breakdown, error) {
+	plan, err := placement.Fit(cfg, p, strat, 0)
+	if err != nil {
+		return perfmodel.Breakdown{}, err
+	}
+	return perfmodel.Estimate(perfmodel.Scenario{Cfg: cfg, Platform: p, Batch: batch, Plan: plan})
+}
+
 func TestPublicAPIEstimation(t *testing.T) {
-	cfg := TestSuiteModel(1024, 16)
-	g, err := EstimateGPU(cfg, "BigBasin", 1600, PlaceGPUMemory)
+	cfg := workload.DefaultTestSuite(1024, 16)
+	g, err := estimateGPU(cfg, hw.BigBasin(), 1600, placement.GPUMemory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := EstimateCPUCluster(cfg, 200, 1, 1, 1)
+	c, err := perfmodel.Estimate(perfmodel.Scenario{
+		Cfg: cfg, Platform: hw.DualSocketCPU(), Batch: 200,
+		NumTrainers: 1, NumSparsePS: 1, NumDensePS: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Throughput <= c.Throughput {
 		t.Errorf("GPU (%v) should beat single-trainer CPU (%v) here", g.Throughput, c.Throughput)
 	}
-	if _, err := EstimateGPU(cfg, "TPUv4", 1600, PlaceGPUMemory); err == nil {
+	if _, err := hw.ByName("TPUv4"); err == nil {
 		t.Error("unknown platform accepted")
 	}
 }
 
 func TestPublicAPIPlacement(t *testing.T) {
-	models := ProductionModels()
+	models := workload.ProdModels()
 	if len(models) != 3 {
-		t.Fatalf("ProductionModels = %d", len(models))
+		t.Fatalf("ProdModels = %d", len(models))
 	}
 	// M3 does not fit Big Basin GPU memory.
-	if _, err := FitPlacement(models[2], "BigBasin", PlaceGPUMemory, 0); err == nil {
+	if _, err := placement.Fit(models[2], hw.BigBasin(), placement.GPUMemory, 0); err == nil {
 		t.Error("M3prod must not fit on Big Basin GPUs")
 	}
-	plan, bd, err := BestPlacement(models[1], "Zion", 3200)
+	plan, bd, err := perfmodel.BestPlacement(models[1], hw.Zion(), 3200, perfmodel.DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Strategy != PlaceSystemMemory {
+	if plan.Strategy != placement.SystemMemory {
 		t.Errorf("M2prod on Zion best placement = %v, want SystemMemory", plan.Strategy)
 	}
 	if bd.Throughput <= 0 {
@@ -237,44 +265,43 @@ func TestPublicAPIPlacement(t *testing.T) {
 func TestPublicAPITieredPlacement(t *testing.T) {
 	// M3prod overflows Big Basin HBM: the tiered hierarchy must hold it
 	// and beat the remote-PS estimate.
-	m3 := ProductionModels()[2]
-	plan, err := FitPlacement(m3, "BigBasin", PlaceTiered, 0)
+	m3 := workload.ProdModels()[2]
+	plan, err := placement.Fit(m3, hw.BigBasin(), placement.Tiered, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Tiered == nil || plan.HotFraction <= 0 || plan.HotFraction >= 1 {
 		t.Errorf("tiered plan %+v", plan)
 	}
-	tiered, err := EstimateGPU(m3, "BigBasin", 800, PlaceTiered)
+	tiered, err := estimateGPU(m3, hw.BigBasin(), 800, placement.Tiered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := EstimateGPU(m3, "BigBasin", 800, PlaceRemoteCPU)
+	remote, err := estimateGPU(m3, hw.BigBasin(), 800, placement.RemoteCPU)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tiered.Throughput <= remote.Throughput {
 		t.Errorf("tiered %v must beat remote %v for M3prod", tiered.Throughput, remote.Throughput)
 	}
-	tiers, err := MemoryTiers("BigBasin", 0)
-	if err != nil || len(tiers) != 4 || tiers[0].Kind != TierHBM {
-		t.Errorf("MemoryTiers: %v %v", tiers, err)
+	if tiers := hw.BigBasin().MemoryTiers(0); len(tiers) != 4 || tiers[0].Kind != hw.TierHBM {
+		t.Errorf("MemoryTiers: %v", tiers)
 	}
-	p, err := NewCachePolicy("clock", 16)
+	p, err := memtier.NewPolicy("clock", 16)
 	if err != nil || p.Name() != "clock" {
-		t.Errorf("NewCachePolicy: %v %v", p, err)
+		t.Errorf("NewPolicy: %v %v", p, err)
 	}
-	if _, err := PlaceTieredWith(m3, "BigBasin", TieredOptions{}); err != nil {
-		t.Errorf("PlaceTieredWith: %v", err)
+	if _, err := placement.FitTiered(m3, hw.BigBasin(), placement.TieredOptions{}); err != nil {
+		t.Errorf("FitTiered: %v", err)
 	}
 }
 
 func TestPublicAPIExperiments(t *testing.T) {
-	ids := Experiments()
+	ids := experiments.IDs()
 	if len(ids) != 24 {
-		t.Fatalf("Experiments() = %d ids", len(ids))
+		t.Fatalf("IDs() = %d ids", len(ids))
 	}
-	res, err := RunExperiment("table1", ExperimentOptions{Quick: true})
+	res, err := experiments.Run("table1", experiments.Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,13 +311,13 @@ func TestPublicAPIExperiments(t *testing.T) {
 }
 
 func TestPlatformsAndDescribe(t *testing.T) {
-	if len(Platforms()) != 3 {
+	if len(hw.Platforms()) != 3 {
 		t.Error("three platforms expected")
 	}
-	if _, err := PlatformByName("BigBasin"); err != nil {
+	if _, err := hw.ByName("BigBasin"); err != nil {
 		t.Error(err)
 	}
-	d := Describe(ProductionModels()[0])
+	d := core.Describe(workload.ProdModels()[0])
 	if !strings.Contains(d, "M1prod") || !strings.Contains(d, "dense") {
 		t.Errorf("Describe = %q", d)
 	}
@@ -300,35 +327,35 @@ func TestPlatformsAndDescribe(t *testing.T) {
 // dtype/wire parsing, a bf16-table hybrid trainer with compressed wires,
 // and the dtype-aware analytic volume helpers.
 func TestPublicAPIMixedPrecision(t *testing.T) {
-	dt, err := ParseDType("bf16")
-	if err != nil || dt != DTypeBF16 {
+	dt, err := tensor.ParseDType("bf16")
+	if err != nil || dt != tensor.BF16 {
 		t.Fatalf("ParseDType(bf16) = %v, %v", dt, err)
 	}
-	w, err := ParseWireFormat("int8")
-	if err != nil || w != WireINT8 {
+	w, err := collective.ParseWireFormat("int8")
+	if err != nil || w != collective.WireINT8 {
 		t.Fatalf("ParseWireFormat(int8) = %v, %v", w, err)
 	}
-	if _, err := ParseWireFormat("fp8"); err == nil {
+	if _, err := collective.ParseWireFormat("fp8"); err == nil {
 		t.Error("ParseWireFormat accepted fp8")
 	}
 
-	cfg := TestSuiteModel(500, 8)
-	cfg.TableDType = DTypeBF16
+	cfg := workload.DefaultTestSuite(500, 8)
+	cfg.TableDType = tensor.BF16
 	fp32 := cfg
-	fp32.TableDType = DTypeFP32
+	fp32.TableDType = tensor.FP32
 	if b, f := cfg.EmbeddingBytes(), fp32.EmbeddingBytes(); 2*b != f {
 		t.Errorf("bf16 embedding bytes %d, want half of %d", b, f)
 	}
 
-	ht, err := NewHybridTrainer(cfg, HybridConfig{
+	ht, err := hybrid.New(cfg, hybrid.Config{
 		Ranks: 2, LR: 0.05, Seed: 1,
-		WireA2A: WireFP16, WireAllReduce: WireINT8,
+		WireA2A: collective.WireFP16, WireAllReduce: collective.WireINT8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ht.Close()
-	gen := NewGenerator(cfg, 2)
+	gen := data.NewGenerator(cfg, 2, data.DefaultOptions())
 	const batch, steps = 64, 3
 	for i := 0; i < steps; i++ {
 		if _, _, err := ht.Step(gen.NextBatch(batch)); err != nil {
@@ -336,11 +363,11 @@ func TestPublicAPIMixedPrecision(t *testing.T) {
 		}
 	}
 	st := ht.CollectiveStats()
-	wantA2A := HybridAllToAllBytesWire(cfg, batch, 2, WireFP16.BytesPerElem()) * steps
+	wantA2A := perfmodel.HybridAllToAllBytesWire(cfg, batch, 2, collective.WireFP16.BytesPerElem()) * steps
 	if rel := float64(st.AllToAll.Bytes)/wantA2A - 1; rel > 0.02 || rel < -0.02 {
 		t.Errorf("fp16 all-to-all meter %d bytes, analytic %.0f", st.AllToAll.Bytes, wantA2A)
 	}
-	if full := HybridAllToAllBytesWire(cfg, batch, 2, 4) * steps; float64(st.AllToAll.Bytes) > full/1.9 {
+	if full := perfmodel.HybridAllToAllBytesWire(cfg, batch, 2, 4) * steps; float64(st.AllToAll.Bytes) > full/1.9 {
 		t.Errorf("fp16 wire moved %d bytes, want ~half of fp32's %.0f", st.AllToAll.Bytes, full)
 	}
 }

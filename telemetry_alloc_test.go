@@ -4,9 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/benchreport"
+	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/hybrid"
 	"repro/internal/ingest"
 	"repro/internal/telemetry"
+	"repro/internal/xrand"
 )
 
 // TestStepTraceZeroAlloc is the observability half of the hot-path
@@ -32,10 +35,10 @@ func TestTimeseriesZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
+		tr := core.NewTrainer(core.NewModel(cfg, xrand.New(1)), core.TrainerConfig{LR: 0.05})
 		tr.SetTrace(trace, 0)
 		tr.SetRecorder(fr)
-		batch := NewGenerator(cfg, 2).NextBatch(128)
+		batch := data.NewGenerator(cfg, 2, data.DefaultOptions()).NextBatch(128)
 		for i := 0; i < 12; i++ {
 			tr.Step(batch)
 		}
@@ -63,7 +66,7 @@ func TestTimeseriesZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ht.Close()
-		batch := NewGenerator(cfg, 2).NextBatch(128)
+		batch := data.NewGenerator(cfg, 2, data.DefaultOptions()).NextBatch(128)
 		for i := 0; i < 12; i++ {
 			ht.Step(batch)
 		}
@@ -82,9 +85,9 @@ func TestStepTraceZeroAlloc(t *testing.T) {
 
 	t.Run("single", func(t *testing.T) {
 		trace := telemetry.NewTracer(1, 2048)
-		tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
+		tr := core.NewTrainer(core.NewModel(cfg, xrand.New(1)), core.TrainerConfig{LR: 0.05})
 		tr.SetTrace(trace, 0)
-		batch := NewGenerator(cfg, 2).NextBatch(128)
+		batch := data.NewGenerator(cfg, 2, data.DefaultOptions()).NextBatch(128)
 		for i := 0; i < 3; i++ {
 			tr.Step(batch)
 		}
@@ -105,7 +108,7 @@ func TestStepTraceZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ht.Close()
-		batch := NewGenerator(cfg, 2).NextBatch(128)
+		batch := data.NewGenerator(cfg, 2, data.DefaultOptions()).NextBatch(128)
 		for i := 0; i < 5; i++ {
 			ht.Step(batch)
 		}
@@ -121,7 +124,7 @@ func TestStepTraceZeroAlloc(t *testing.T) {
 
 	t.Run("ingest", func(t *testing.T) {
 		dir := t.TempDir()
-		if err := NewGenerator(cfg, 9).WriteShards(dir, 4, 4*128); err != nil {
+		if err := data.NewGenerator(cfg, 9, data.DefaultOptions()).WriteShards(dir, 4, 4*128); err != nil {
 			t.Fatal(err)
 		}
 		ds, err := ingest.OpenDataset(dir)
@@ -137,7 +140,7 @@ func TestStepTraceZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer pipe.Close()
-		tr := NewTrainer(NewModel(cfg, 1), TrainerConfig{LR: 0.05})
+		tr := core.NewTrainer(core.NewModel(cfg, xrand.New(1)), core.TrainerConfig{LR: 0.05})
 		tr.SetTrace(iOpt.Trace, 0)
 		// Many epochs of warmup: every slab, ring slot, and dedup map must
 		// reach its high-water mark before counting.

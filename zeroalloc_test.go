@@ -5,9 +5,11 @@ import (
 
 	"repro/internal/benchreport"
 	"repro/internal/collective"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/hybrid"
 	"repro/internal/tensor"
+	"repro/internal/xrand"
 )
 
 // TestTrainStepZeroAlloc is the hot-path allocation budget: after warmup,
@@ -18,9 +20,9 @@ import (
 // allocation crept back into tensor/nn/embedding/core.
 func TestTrainStepZeroAlloc(t *testing.T) {
 	cfg := benchreport.BenchStepConfig()
-	m := NewModel(cfg, 1)
-	tr := NewTrainer(m, TrainerConfig{LR: 0.05})
-	gen := NewGenerator(cfg, 2)
+	m := core.NewModel(cfg, xrand.New(1))
+	tr := core.NewTrainer(m, core.TrainerConfig{LR: 0.05})
+	gen := data.NewGenerator(cfg, 2, data.DefaultOptions())
 	batch := gen.NextBatch(128)
 	// Warm every lazily-sized scratch buffer (activations, interaction
 	// views, sparse-grad slabs, logit/grad buffers).
@@ -66,16 +68,16 @@ func TestQuantizedStepZeroAlloc(t *testing.T) {
 // TestNextBatchIntoRecyclesBuffers checks the batch-recycling path reuses
 // storage across draws of the same batch size.
 func TestNextBatchIntoRecyclesBuffers(t *testing.T) {
-	cfg := ModelConfig{
+	cfg := core.Config{
 		Name:          "recycle",
 		DenseFeatures: 8,
-		Sparse:        UniformSparse(2, 1000, 4),
+		Sparse:        core.UniformSparse(2, 1000, 4),
 		EmbeddingDim:  8,
 		BottomMLP:     []int{16},
 		TopMLP:        []int{16},
-		Interaction:   InteractionConcat,
+		Interaction:   core.Concat,
 	}
-	gen := NewGenerator(cfg, 3)
+	gen := data.NewGenerator(cfg, 3, data.DefaultOptions())
 	mb := gen.NextBatch(64)
 	dense := mb.Dense
 	labels := &mb.Labels[0]
